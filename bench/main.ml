@@ -335,24 +335,22 @@ let engine_jobs_of (d : Design.t) =
     ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
     ()
 
-(* Jobs memoize their property thunk, so each timed run gets a fresh
-   enumeration to keep the generate+prepare cost inside the timing. *)
-let engine_run ?cache ?(memory_abstraction = false) ~jobs ~incremental d =
+(* Workers prepare each port inside the timed run, so the
+   generate+prepare cost stays inside the timing. *)
+let engine_run ?cache ?memory_abstraction ~jobs d =
   let open Ilv_engine in
   let _, summary =
-    Engine.run ~jobs ?cache ~incremental ~memory_abstraction
-      (engine_jobs_of d)
+    Engine.run ~jobs ?cache ?memory_abstraction (engine_jobs_of d)
   in
   summary
 
 (* (port, instr, verdict) triples in job order plus the run summary —
    the equality oracle between the concrete and memory-abstracted
    engine.  jobs:1 keeps the CEGAR refinement counter in-process. *)
-let engine_verdicts ?(memory_abstraction = false) d =
+let engine_verdicts ~memory_abstraction d =
   let open Ilv_engine in
   let results, summary =
-    Engine.run ~jobs:1 ~incremental:true ~memory_abstraction
-      (engine_jobs_of d)
+    Engine.run ~jobs:1 ~memory_abstraction (engine_jobs_of d)
   in
   ( List.map
       (fun (r : Engine.result) ->
@@ -384,25 +382,26 @@ let simplify_reduction (d : Design.t) =
 
 let engine_benchmarks () =
   section
-    "Verification engine: fresh vs incremental solving, sequential vs \
-     parallel, cold vs warm proof cache";
+    "Verification engine: sequential vs parallel, cold vs warm proof \
+     cache, abstract vs concrete memories";
   let open Ilv_engine in
   let suite = Catalog.quick in
   let n_par = 4 in
-  Format.printf "%-26s %6s %8s %8s %7s %8s %8s %8s %8s %8s %7s@." "Design"
-    "insts" "fresh s" "incr s" "reduc"
+  Format.printf "%-26s %6s %8s %7s %8s %8s %8s %8s %8s %7s@." "Design"
+    "insts" "incr s" "reduc"
     (Printf.sprintf "-j%d s" n_par)
-    "speedup" "cold s" "warm s" "abs s" "refine";
+    "speedup" "cold s" "warm s" "conc s" "refine";
   let json_rows =
     List.map
       (fun (d : Design.t) ->
-        (* sequential_s stays the fresh-solver-per-obligation baseline;
-           incremental_s is the same single worker on the shared frame *)
-        let seq = engine_run ~jobs:1 ~incremental:false d in
-        let incr = engine_run ~jobs:1 ~incremental:true d in
-        let par = engine_run ~jobs:n_par ~incremental:true d in
-        assert (seq.Engine.n_proved = incr.Engine.n_proved);
-        assert (seq.Engine.n_proved = par.Engine.n_proved);
+        (* every timed leg runs the engine's default configuration
+           (incremental, memory abstraction on) except the concrete
+           leg, which turns the abstraction off explicitly *)
+        let r0 = Mem_abstract.total_refinements () in
+        let incr = engine_run ~jobs:1 d in
+        let refinements = Mem_abstract.total_refinements () - r0 in
+        let par = engine_run ~jobs:n_par d in
+        assert (incr.Engine.n_proved = par.Engine.n_proved);
         let reduction = simplify_reduction d in
         let cache_dir =
           Filename.concat
@@ -411,36 +410,34 @@ let engine_benchmarks () =
         in
         let cache = Proof_cache.open_ ~dir:cache_dir () in
         ignore (Proof_cache.clear cache);
-        let cold = engine_run ~cache ~jobs:n_par ~incremental:true d in
-        let warm = engine_run ~cache ~jobs:n_par ~incremental:true d in
+        let cold = engine_run ~cache ~jobs:n_par d in
+        let warm = engine_run ~cache ~jobs:n_par d in
         assert (warm.Engine.fresh_sat_attempts = 0);
         assert (warm.Engine.cache_hits = warm.Engine.n_jobs);
         ignore (Proof_cache.clear cache);
-        let speedup = seq.Engine.wall_s /. Float.max 1e-9 par.Engine.wall_s in
-        (* the memory-abstraction leg: same single incremental worker,
-           CEGAR window rewrite on.  Verdicts must not move. *)
-        let r0 = Mem_abstract.total_refinements () in
-        let abs = engine_run ~memory_abstraction:true ~jobs:1 ~incremental:true d in
-        let refinements = Mem_abstract.total_refinements () - r0 in
-        assert (abs.Engine.n_proved = incr.Engine.n_proved);
-        assert (abs.Engine.n_failed = incr.Engine.n_failed);
-        assert (abs.Engine.n_unknown = incr.Engine.n_unknown);
+        let speedup = incr.Engine.wall_s /. Float.max 1e-9 par.Engine.wall_s in
+        (* the concrete leg: same single worker, whole arrays
+           bit-blasted.  Verdicts must not move. *)
+        let conc = engine_run ~memory_abstraction:false ~jobs:1 d in
+        assert (conc.Engine.n_proved = incr.Engine.n_proved);
+        assert (conc.Engine.n_failed = incr.Engine.n_failed);
+        assert (conc.Engine.n_unknown = incr.Engine.n_unknown);
         Format.printf
-          "%-26s %6d %8.3f %8.3f %6.1f%% %8.3f %7.1fx %8.3f %8.3f %8.3f %7d@."
-          d.Design.name seq.Engine.n_jobs seq.Engine.wall_s incr.Engine.wall_s
+          "%-26s %6d %8.3f %6.1f%% %8.3f %7.1fx %8.3f %8.3f %8.3f %7d@."
+          d.Design.name incr.Engine.n_jobs incr.Engine.wall_s
           (100.0 *. reduction) par.Engine.wall_s speedup cold.Engine.wall_s
-          warm.Engine.wall_s abs.Engine.wall_s refinements;
+          warm.Engine.wall_s conc.Engine.wall_s refinements;
         Printf.sprintf
           "{\"design\": %S, \"instructions\": %d, \"workers\": %d, \
-           \"sequential_s\": %.4f, \"incremental_s\": %.4f, \
-           \"simplify_reduction\": %.4f, \"parallel_s\": %.4f, \
-           \"speedup\": %.2f, \"cold_cache_s\": %.4f, \"warm_cache_s\": \
-           %.4f, \"warm_cache_hits\": %d, \"warm_fresh_sat_attempts\": %d, \
-           \"mem_abstraction_s\": %.4f, \"refinements\": %d}"
-          d.Design.name seq.Engine.n_jobs n_par seq.Engine.wall_s
-          incr.Engine.wall_s reduction par.Engine.wall_s speedup
-          cold.Engine.wall_s warm.Engine.wall_s warm.Engine.cache_hits
-          warm.Engine.fresh_sat_attempts abs.Engine.wall_s refinements)
+           \"incremental_s\": %.4f, \"simplify_reduction\": %.4f, \
+           \"parallel_s\": %.4f, \"speedup\": %.2f, \"cold_cache_s\": \
+           %.4f, \"warm_cache_s\": %.4f, \"warm_cache_hits\": %d, \
+           \"warm_fresh_sat_attempts\": %d, \"concrete_s\": %.4f, \
+           \"refinements\": %d}"
+          d.Design.name incr.Engine.n_jobs n_par incr.Engine.wall_s reduction
+          par.Engine.wall_s speedup cold.Engine.wall_s warm.Engine.wall_s
+          warm.Engine.cache_hits warm.Engine.fresh_sat_attempts
+          conc.Engine.wall_s refinements)
       suite
   in
   let oc = open_out "BENCH_engine.json" in
@@ -449,7 +446,7 @@ let engine_benchmarks () =
   Format.printf
     "@.warm rows re-ran with every obligation already cached: 100%% hits, \
      zero fresh SAT attempts (asserted).@.\
-     fresh-vs-incremental, sequential-vs-parallel and cold-vs-warm timings \
+     sequential-vs-parallel, cold-vs-warm and abstract-vs-concrete timings \
      written to BENCH_engine.json@."
 
 let contains hay needle =
@@ -701,8 +698,9 @@ let daemon_load () =
 (* --check: regression gate against the committed BENCH_engine.json    *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-measures each design's fresh sequential time and fails (exit 1)
-   if any regresses more than 25% against the committed baseline.  A
+(* Re-measures each design's single-worker engine time (the default
+   configuration) and fails (exit 1) if any regresses more than 25%
+   against the committed baseline.  A
    small absolute grace keeps sub-100ms rows from tripping on scheduler
    noise.  Wired as the @bench-check dune alias — deliberately not part
    of the default test tree, since wall-clock gates belong in a
@@ -734,7 +732,7 @@ let bench_check baseline_path =
               (Ilv_obs.Json.member "design" row)
               Ilv_obs.Json.to_string,
             Option.bind
-              (Ilv_obs.Json.member "sequential_s" row)
+              (Ilv_obs.Json.member "incremental_s" row)
               Ilv_obs.Json.to_float )
         with
         | Some d, Some s -> Some (d, s)
@@ -754,8 +752,7 @@ let bench_check baseline_path =
         Format.printf "%-26s %12s %12s %8s  MISSING from baseline@."
           d.Design.name "-" "-" "-"
       | Some committed ->
-        let seq = engine_run ~jobs:1 ~incremental:false d in
-        let measured = seq.Ilv_engine.Engine.wall_s in
+        let measured = (engine_run ~jobs:1 d).Ilv_engine.Engine.wall_s in
         let ok = measured <= (committed *. tolerance) +. grace_s in
         if not ok then incr failures;
         Format.printf "%-26s %12.3f %12.3f %7.2fx  %s@." d.Design.name
@@ -763,15 +760,14 @@ let bench_check baseline_path =
           (measured /. Float.max 1e-9 committed)
           (if ok then "ok" else "REGRESSED (>25%)"))
     Catalog.quick;
-  (* every engine row must carry the memory-abstraction columns — a
-     baseline regenerated by an older harness would silently drop the
-     ablation *)
+  (* every engine row must carry the abstraction ablation columns — a
+     baseline regenerated by an older harness would silently drop it *)
   List.iter
     (fun row ->
       if Ilv_obs.Json.member "design" row <> None then
         match
           ( Option.bind
-              (Ilv_obs.Json.member "mem_abstraction_s" row)
+              (Ilv_obs.Json.member "concrete_s" row)
               Ilv_obs.Json.to_float,
             Option.bind
               (Ilv_obs.Json.member "refinements" row)
@@ -795,7 +791,7 @@ let bench_check baseline_path =
      ratios are scheduler noise.) *)
   List.iter
     (fun (d : Design.t) ->
-      let concrete_v, concrete = engine_verdicts d in
+      let concrete_v, concrete = engine_verdicts ~memory_abstraction:false d in
       let abs_v, abs = engine_verdicts ~memory_abstraction:true d in
       let t_conc = concrete.Ilv_engine.Engine.wall_s in
       let t_abs = abs.Ilv_engine.Engine.wall_s in
@@ -883,7 +879,7 @@ let rec rm_rf path =
   | exception Unix.Unix_error _ -> ()
 
 (* Seeded chaos campaign, with its summary appended as one row to
-   BENCH_engine.json.  The row carries no "sequential_s", so the
+   BENCH_engine.json.  The row carries no "incremental_s", so the
    --check regression gate skips it; a previous chaos row (recognised
    by its "chaos_seed" key) is replaced, not duplicated. *)
 let chaos_campaign () =

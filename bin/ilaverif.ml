@@ -71,38 +71,10 @@ let timeout_arg =
     & opt (some float) None
     & info [ "timeout" ] ~docv:"SECS"
         ~doc:
-          "Wall-clock deadline per obligation group (per port in \
-           incremental mode, per obligation otherwise).  Obligations past \
+          "Wall-clock deadline per obligation group (per port).  \
+           Obligations past \
            the deadline report a timestamped $(b,deadline:) unknown verdict \
            instead of running forever.  Default: unlimited.")
-
-let no_incremental_flag =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Escape hatch: bit-blast and solve every obligation in its own \
-           fresh solver instead of sharing one incremental solver (and one \
-           bit-blasted frame) per design.  Incremental mode is the default; \
-           verdicts are identical either way.")
-
-let portfolio_arg =
-  let modes =
-    [
-      ("auto", Portfolio.Auto);
-      ("sat", Portfolio.Force Portfolio.Sat_backend);
-      ("bdd", Portfolio.Force Portfolio.Bdd_backend);
-      ("race", Portfolio.Race);
-    ]
-  in
-  Arg.(
-    value
-    & opt (enum modes) Portfolio.Auto
-    & info [ "portfolio" ] ~docv:"MODE"
-        ~doc:
-          "Backend selection per obligation: $(b,auto) (size heuristic \
-           between SAT and BDD), $(b,sat), $(b,bdd), or $(b,race) (both in \
-           parallel, first definitive verdict wins).")
 
 let daemon_arg =
   Arg.(
@@ -118,23 +90,19 @@ let daemon_arg =
            large for the reply frame is re-derived in-process.")
 
 let mem_abs_arg =
-  let modes = [ ("auto", `Auto); ("on", `On); ("off", `Off) ] in
   Arg.(
     value
-    & opt (enum modes) `Auto
+    & opt (enum [ ("on", true); ("off", false) ]) true
     & info [ "memory-abstraction" ] ~docv:"MODE"
         ~doc:
           "Window-abstract memory-sorted state instead of bit-blasting \
-           every word: $(b,auto) (the default — on exactly when the design \
-           has a memory wider than the window), $(b,on), or $(b,off).  \
-           Verdicts are identical in every mode; abstract counterexamples \
-           are replayed concretely and spurious ones refine the window \
-           (CEGAR).")
+           every word: $(b,on) (the default — it only applies to ports \
+           with a memory wider than the window) or $(b,off).  Verdicts are \
+           identical either way; abstract counterexamples are replayed \
+           concretely and spurious ones refine the window (CEGAR).")
 
-(* "auto" and "on" coincide in-process: the abstraction applies itself
-   only to obligation groups with a wide memory *)
-let mem_abs_enabled = function `Off -> false | `On | `Auto -> true
-let mem_abs_string = function `Off -> "off" | `On -> "on" | `Auto -> "auto"
+let mem_abs_string memory_abstraction =
+  if memory_abstraction then "on" else "off"
 
 (* ---- shared observability options ---- *)
 
@@ -167,8 +135,8 @@ let open_cache ~use_cache ~cache_dir =
 (* Engine-path verification of one design (golden or buggy variant):
    enumerate the obligations as jobs, discharge on the pool, reassemble
    the standard report. *)
-let engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs ~portfolio
-    ~incremental ~memory_abstraction (d : Design.t) rtl =
+let engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs
+    ~memory_abstraction (d : Design.t) rtl =
   let job_list =
     Engine.jobs_of ?variant ?only_ports ~name:d.Design.name
       d.Design.module_ila rtl
@@ -176,8 +144,7 @@ let engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs ~portfolio
       ()
   in
   let results, summary =
-    Engine.run ~jobs ?cache ?timeout_s ~portfolio ~incremental
-      ~memory_abstraction job_list
+    Engine.run ~jobs ?cache ?timeout_s ~memory_abstraction job_list
   in
   (Engine.report_of ~name:d.Design.name ~results, summary)
 
@@ -275,13 +242,15 @@ let recheck_trace (d : Design.t) ~bug ~port_name ~instr =
 (* Returns true when the daemon handled the command (this process
    should not solve anything); exits non-zero itself on verification
    failure, mirroring the in-process paths. *)
-let daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs (d : Design.t) =
+let daemon_verify ~sock ~bug ~port ~timeout_s ~memory_abstraction
+    (d : Design.t) =
   let req =
     Json.Obj
       ([
          ("op", Json.String "verify");
          ("design", Json.String d.Design.name);
-         ("memory_abstraction", Json.String (mem_abs_string mem_abs));
+         ( "memory_abstraction",
+           Json.String (mem_abs_string memory_abstraction) );
        ]
       @ (match bug with
         | Some label -> [ ("bug", Json.String label) ]
@@ -327,14 +296,15 @@ let daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs (d : Design.t) =
     if not ok_outcome then exit 1;
     true
 
-let daemon_table ~sock ~designs ~timeout_s ~mem_abs =
+let daemon_table ~sock ~designs ~timeout_s ~memory_abstraction =
   let req =
     Json.Obj
       ([
          ("op", Json.String "table");
          ( "designs",
            Json.List (List.map (fun n -> Json.String n) designs) );
-         ("memory_abstraction", Json.String (mem_abs_string mem_abs));
+         ( "memory_abstraction",
+           Json.String (mem_abs_string memory_abstraction) );
        ]
       @
       match timeout_s with
@@ -553,24 +523,21 @@ let verify_cmd =
       & info [ "vcd" ] ~docv:"FILE"
           ~doc:"Dump the first counterexample trace as a VCD waveform.")
   in
-  let run name bug port keep_going vcd jobs use_cache cache_dir portfolio
-      no_incremental timeout_s daemon mem_abs trace_out metrics =
+  let run name bug port keep_going vcd jobs use_cache cache_dir timeout_s
+      daemon memory_abstraction trace_out metrics =
     setup_obs trace_out metrics;
-    let incremental = not no_incremental in
-    let memory_abstraction = mem_abs_enabled mem_abs in
     let d = or_die (find_design name) in
     let handled_by_daemon =
       match daemon with
-      | Some sock -> daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs d
+      | Some sock ->
+        daemon_verify ~sock ~bug ~port ~timeout_s ~memory_abstraction d
       | None -> false
     in
     if handled_by_daemon then ()
     else begin
     let only_ports = Option.map (fun p -> [ p ]) port in
     let cache = open_cache ~use_cache ~cache_dir in
-    let use_engine =
-      jobs > 1 || cache <> None || portfolio <> Portfolio.Auto
-    in
+    let use_engine = jobs > 1 || cache <> None in
     let find_bug label =
       match
         List.find_opt (fun b -> b.Design.bug_label = label) d.Design.bugs
@@ -595,7 +562,7 @@ let verify_cmd =
         in
         let report, summary =
           engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs
-            ~portfolio ~incremental ~memory_abstraction d rtl
+            ~memory_abstraction d rtl
         in
         Format.printf "%a@." Engine.pp_summary summary;
         report
@@ -604,10 +571,10 @@ let verify_cmd =
         match bug with
         | None ->
           Design.verify ~stop_at_first_failure:(not keep_going) ?only_ports
-            ~incremental ~memory_abstraction ?timeout_s d
+            ~memory_abstraction ?timeout_s d
         | Some label ->
           Design.verify_buggy ~stop_at_first_failure:(not keep_going)
-            ~incremental ~memory_abstraction ?timeout_s d (find_bug label)
+            ~memory_abstraction ?timeout_s d (find_bug label)
     in
     Format.printf "%a@." Verify.pp_report report;
     (match (vcd, report.Verify.first_failure) with
@@ -626,9 +593,8 @@ let verify_cmd =
        ~doc:"Refinement-check a design's RTL against its module-ILA")
     Term.(
       const run $ design_arg $ bug_arg $ port_arg $ keep_going $ vcd_arg
-      $ jobs_arg $ cache_flag $ cache_dir_arg $ portfolio_arg
-      $ no_incremental_flag $ timeout_arg $ daemon_arg $ mem_abs_arg
-      $ trace_out_arg $ metrics_flag)
+      $ jobs_arg $ cache_flag $ cache_dir_arg $ timeout_arg $ daemon_arg
+      $ mem_abs_arg $ trace_out_arg $ metrics_flag)
 
 (* ---- dimacs ---- *)
 
@@ -725,34 +691,32 @@ let table_cmd =
             "Use the memory-abstracted datapath and store buffer (the \
              paper's parenthesized configuration).")
   in
-  let run quick jobs use_cache cache_dir portfolio no_incremental timeout_s
-      daemon mem_abs trace_out metrics =
+  let run quick jobs use_cache cache_dir timeout_s daemon memory_abstraction
+      trace_out metrics =
     setup_obs trace_out metrics;
-    let incremental = not no_incremental in
-    let memory_abstraction = mem_abs_enabled mem_abs in
     let suite = if quick then Catalog.quick else Catalog.all in
     let handled_by_daemon =
       match daemon with
       | Some sock ->
         daemon_table ~sock
           ~designs:(List.map (fun d -> d.Design.name) suite)
-          ~timeout_s ~mem_abs
+          ~timeout_s ~memory_abstraction
       | None -> false
     in
     if handled_by_daemon then ()
     else begin
     let cache = open_cache ~use_cache ~cache_dir in
-    let use_engine =
-      jobs > 1 || cache <> None || portfolio <> Portfolio.Auto
-    in
+    let use_engine = jobs > 1 || cache <> None in
     let verify d =
       if use_engine then
         fst
-          (engine_verify ?cache ?timeout_s ~jobs ~portfolio ~incremental
-             ~memory_abstraction d d.Design.rtl)
-      else Design.verify ~incremental ~memory_abstraction ?timeout_s d
+          (engine_verify ?cache ?timeout_s ~jobs ~memory_abstraction d
+             d.Design.rtl)
+      else Design.verify ~memory_abstraction ?timeout_s d
     in
-    let rows = List.map (Table_one.measure ~verify) suite in
+    let rows =
+      List.map (Table_one.measure ~memory_abstraction ~verify) suite
+    in
     Table_one.print_rows Format.std_formatter rows;
     Format.printf "@.Paper's Table I, for shape comparison:@.";
     Table_one.print_paper Format.std_formatter
@@ -762,8 +726,8 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Reproduce the paper's Table I")
     Term.(
       const run $ quick $ jobs_arg $ cache_flag $ cache_dir_arg
-      $ portfolio_arg $ no_incremental_flag $ timeout_arg $ daemon_arg
-      $ mem_abs_arg $ trace_out_arg $ metrics_flag)
+      $ timeout_arg $ daemon_arg $ mem_abs_arg $ trace_out_arg
+      $ metrics_flag)
 
 (* ---- reach ---- *)
 

@@ -70,8 +70,6 @@ let is_deadline_reason r =
   let rec at i = i + m <= n && (String.sub r i m = deadline_sentinel || at (i + 1)) in
   at 0
 
-let is_timeout_reason = is_deadline_reason
-
 (* Sentinel marking a spurious abstract counterexample: the SAT-model
    hook rejected the model and (usually) refined the abstraction, so
    the frame it was solved in is stale.  Like the deadline sentinel it
@@ -170,10 +168,8 @@ let decide ctx ~budget:b ~hypotheses attempts =
 
 (* A prepared property: the assumptions are asserted into one
    incremental bit-blasting context, and every obligation's guard and
-   negated goal are pre-encoded to solver literals.  Preparing is the
-   complete CNF encoding of the whole query set — after [prepare] the
-   CNF is stable, which is what makes {!cnf} a sound content address
-   for the proof cache — while the SAT search itself has not started. *)
+   negated goal are pre-encoded to solver literals; [check_prepared]
+   then decides the obligations in that context. *)
 type prepared = {
   prop : Property.t;
   ctx : Bitblast.t;
@@ -195,11 +191,6 @@ let prepare ?(simplify = true) ?on_sat (p : Property.t) =
       p.Property.obligations
   in
   { prop = p; ctx; hyps; pr_on_sat = on_sat }
-
-let cnf pr = Bitblast.cnf pr.ctx
-let hypothesis_literals pr = List.map (fun (_, _, lits) -> lits) pr.hyps
-let property pr = pr.prop
-let cnf_size pr = Bitblast.cnf_size pr.ctx
 
 let check_prepared ?(budget = unlimited) pr =
   let p = pr.prop in
@@ -359,12 +350,6 @@ let prepare_shared ?(simplify = true) ?(label = "") ?on_sat props =
     sh_on_sat = on_sat;
   }
 
-let shared_has_hook sh = sh.sh_on_sat <> None
-let prepared_has_hook pr = pr.pr_on_sat <> None
-
-let shared_count sh = Array.length sh.sh_props
-let shared_property sh idx = sh.sh_props.(idx)
-
 (* The guarded encoding of one property: a fresh activation literal per
    cone, Tseitin clauses guarded so the cone only binds while its
    selector is assumed.  Deterministic for a given context state — the
@@ -504,22 +489,6 @@ let shared_frame_selectors sh idx =
   shared_freeze sh;
   (snd (Option.get sh.sh_frozen)).(idx)
 
-let shared_error sh idx =
-  encode_shared sh idx;
-  match sh.sh_enc.(idx) with
-  | Enc_failed msg -> Some msg
-  | Encoded _ -> None
-  | Pending -> assert false
-
-let shared_selectors sh idx =
-  encode_shared sh idx;
-  match sh.sh_enc.(idx) with
-  | Encoded (p_act, obs) ->
-    List.map (fun so -> [ p_act; so.so_act ]) obs
-  | Enc_failed _ | Pending -> []
-
-let shared_cnf_size sh = Bitblast.cnf_size sh.sh_ctx
-let shared_cnf_split sh = Bitblast.cnf_split sh.sh_ctx
 let shared_simplify_removed sh = sh.sh_removed
 
 (* Decide one obligation under its activation literals, escalating the

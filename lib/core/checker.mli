@@ -78,10 +78,6 @@ val is_deadline_reason : string -> bool
     degradation ladder, pool supervision) not to burn more work against
     a fixed wall clock. *)
 
-val is_timeout_reason : string -> bool
-(** Deprecated alias of {!is_deadline_reason}, kept for callers written
-    against the old (substring-["timeout:"]) marker. *)
-
 val spurious_sentinel : string
 (** The structured marker (["cegar-spurious:"]) stamped onto the unknown
     produced when a SAT-model hook rejects an abstract counterexample:
@@ -128,9 +124,6 @@ type stats = {
   attempts : int;  (** SAT queries issued, counting escalation retries *)
 }
 
-val zero_stats : Property.t -> stats
-(** All-zero stats for a property (used when no solver ran). *)
-
 val merge_stats : stats -> stats -> stats
 (** Accumulates stats across retries/rungs: wall clock, conflicts and
     attempts sum; CNF sizes take the maximum. *)
@@ -157,55 +150,7 @@ val check :
     over [Unknown].  [simplify] (default true) applies the word-level
     simplifier ({!Ilv_expr.Simp}) to every formula before bit-blasting;
     disabling it is only useful for measuring the simplifier's
-    effect.  Equivalent to [check_prepared (prepare p)]. *)
-
-(** {1 Two-phase checking}
-
-    The verification engine ({!Ilv_engine}) needs the complete
-    bit-blasted encoding of a property {e before} deciding how (or
-    whether) to solve it: the CNF is the content address of the
-    persistent proof cache, and its size drives portfolio backend
-    selection.  [prepare] performs the full encoding — assumptions
-    asserted, every obligation's guard and negated goal Tseitin-encoded
-    to a selector literal — without starting any search;
-    [check_prepared] then decides the prepared obligations in the same
-    incremental context. *)
-
-type prepared
-
-val prepare :
-  ?simplify:bool ->
-  ?on_sat:(ob_index:int -> (string -> Ilv_expr.Sort.t -> Ilv_expr.Value.t) -> verdict option) ->
-  Property.t ->
-  prepared
-(** Bit-blasts the whole property into one incremental context.  After
-    this call the CNF is complete and stable: further solving only adds
-    learnt clauses, never problem clauses.  [on_sat] is the {!sat_hook}
-    with the property index pre-applied (a prepared context holds one
-    property). *)
-
-val prepared_has_hook : prepared -> bool
-(** True when a SAT-model hook is installed — decision procedures that
-    cannot run the hook (the BDD leg, forked race legs) must not decide
-    such a preparation. *)
-
-val check_prepared : ?budget:budget -> prepared -> verdict * stats
-
-val cnf : prepared -> int * int list list
-(** The prepared problem CNF ([n_vars], clauses in external literal
-    convention) — the raw material of the proof-cache key. *)
-
-val hypothesis_literals : prepared -> int list list
-(** Per obligation (in property order), the selector literals assumed
-    for that obligation's query: [assumptions ∧ guard ∧ ¬goal] is
-    decided as the prepared CNF under these assumptions. *)
-
-val property : prepared -> Property.t
-(** The property this preparation encodes. *)
-
-val cnf_size : prepared -> int * int
-(** [(variables, clauses)] of the prepared CNF — the cheap size probe
-    behind portfolio backend selection. *)
+    effect. *)
 
 (** {1 Shared-frame incremental checking}
 
@@ -241,23 +186,6 @@ val prepare_shared :
     satisfying model (see {!sat_hook}); it also rides along the
     degradation ladder's fresh rungs. *)
 
-val shared_has_hook : shared -> bool
-(** True when a SAT-model hook is installed (see
-    {!prepared_has_hook}). *)
-
-val shared_count : shared -> int
-
-val shared_property : shared -> int -> Property.t
-
-val check_shared : ?budget:budget -> shared -> int -> verdict * stats
-(** Decides property [idx]'s obligations in the shared context, with
-    the same semantics as {!check} (ordering, early [Failed] stop,
-    budget escalation).  Obligations are retired as they are decided;
-    results are memoized, so calling twice is safe and returns the
-    first verdict.  [stats.conflicts]/[restarts] are per-call deltas of
-    the shared solver; [cnf_vars]/[cnf_clauses] report the whole shared
-    context. *)
-
 val shared_freeze : shared -> unit
 (** Replays the full encoding — every property, in list order — on a
     throwaway context, runs the CNF pass on it, and snapshots the CNF
@@ -278,17 +206,17 @@ val shared_frame_selectors : shared -> int -> int list list
     key.  Empty for a property whose encoding failed (uncacheable).
     Does not touch the live context. *)
 
-val shared_selectors : shared -> int -> int list list
-(** Like {!shared_frame_selectors} but in the live solver's (lazy,
-    encode-order-dependent) numbering; encodes property [idx] on first
-    use.  Empty for a property whose encoding failed. *)
-
-val shared_error : shared -> int -> string option
-(** The encoding error of property [idx], if it failed. *)
-
 val check_shared_degrading :
   ?budget:budget -> shared -> int -> verdict * stats * string
-(** {!check_shared} wrapped in the degradation ladder: when the
+(** Decides property [idx]'s obligations in the shared context, with
+    the same semantics as {!check} (ordering, early [Failed] stop,
+    budget escalation).  Obligations are retired as they are decided;
+    results are memoized, so calling twice is safe and returns the
+    first verdict.  [stats.conflicts]/[restarts] are per-call deltas of
+    the shared solver; [cnf_vars]/[cnf_clauses] report the whole shared
+    context.
+
+    The query is wrapped in the degradation ladder: when the
     incremental shared-frame query returns [Unknown], retry on a fresh
     per-property context ({!check}); when that is also [Unknown], retry
     once more under a tightened, escalation-free budget; only then give
@@ -301,22 +229,16 @@ val check_shared_degrading :
     absolute deadline.  Stats accumulate across the rungs actually
     run. *)
 
-val shared_cnf_size : shared -> int * int
-(** Current [(variables, clauses)] of the shared context. *)
-
-val shared_cnf_split : shared -> int * int
-(** [(problem, activation)] clause counts of the shared context. *)
-
 val shared_simplify_removed : shared -> int
 (** Clauses removed by the CNF-level simplification pass (0 before the
     pass has run, or with [~simplify:false]). *)
 
 (** {1 Model decoding helpers}
 
-    Exposed for alternative decision procedures (the BDD leg of the
-    engine's portfolio) that produce the same [(name -> sort -> value)]
-    model shape as {!Ilv_sat.Bitblast} and need to decode it into a
-    counterexample the same way the SAT leg does. *)
+    Exposed for model consumers outside the checker (the memory
+    abstraction's concrete replay, {!Mem_abstract}) that need to decode
+    a [(name -> sort -> value)] model into a counterexample the same
+    way the SAT path does. *)
 
 val base_vars :
   Property.t -> Property.obligation -> (string * Ilv_expr.Sort.t) list

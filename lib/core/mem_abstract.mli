@@ -18,18 +18,6 @@
 
 open Ilv_expr
 
-(** {1 Mode selection} *)
-
-type mode = Auto | On | Off
-
-val mode_of_string : string -> mode option
-val mode_to_string : mode -> string
-
-val mode_enabled : mode -> bool
-(** [Auto] and [On] request the abstraction; {!create} already returns
-    [None] for memory-free property groups, which is exactly the
-    [Auto] behaviour, so both modes resolve to [true] here. *)
-
 (** {1 Abstraction state} *)
 
 type t
@@ -56,7 +44,6 @@ val abstract_properties : t -> Property.t array
     generation, index-aligned with the input list.  Re-call after a
     refinement (see {!generation}) to obtain the re-encoded group. *)
 
-val concrete_properties : t -> Property.t array
 
 val generation : t -> int
 (** Bumped by every successful refinement; a solver frame built from
@@ -89,14 +76,3 @@ val replay :
 
 val hook : t -> Checker.sat_hook
 (** {!replay} packaged as the checker's SAT-model hook. *)
-
-val check_property :
-  ?budget:Checker.budget ->
-  ?simplify:bool ->
-  Property.t ->
-  Checker.verdict * Checker.stats * string
-(** Single-property CEGAR driver over {!Checker.check}: solve the
-    abstraction, replay, refine and re-encode until a definite answer,
-    falling back to the concrete encoding when refinement stalls.  The
-    third component is the rung tag ("fresh", "abstract",
-    "abstract+cegarN" or "abstract>concrete"). *)

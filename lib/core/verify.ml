@@ -3,6 +3,7 @@ type instr_result = {
   port : string;
   verdict : Checker.verdict;
   stats : Checker.stats;
+  rung : string;
   time_s : float;
 }
 
@@ -79,15 +80,12 @@ type prepared_port = {
       (* instruction name -> property index in [pp_shared], or the
          generation error that made it uncheckable *)
   pp_instrs : Ila.instruction list;
-  pp_concrete : Property.t list;  (* slot-ordered concrete properties *)
+  pp_concrete : Property.t array;  (* slot-ordered concrete properties *)
   pp_abstraction : Mem_abstract.t option;
   pp_label : string;
   pp_simplify : bool option;
   mutable pp_frame_gen : int;
       (* abstraction generation [pp_shared] was built from *)
-  mutable pp_generation : int;
-      (* frame rebuild counter: long-lived callers (the daemon) key
-         cached frame digests on it *)
 }
 
 (* The shared frame: concrete properties directly, or their
@@ -100,7 +98,11 @@ let make_shared ~simplify ~label ~abstraction concrete =
       ~on_sat:(Mem_abstract.hook ab)
       (Array.to_list (Mem_abstract.abstract_properties ab))
 
-let prepare_port ?simplify ?(memory_abstraction = false) ~name ~port ~rtl
+let abstraction_generation = function
+  | Some ab -> Mem_abstract.generation ab
+  | None -> 0
+
+let prepare_port ?simplify ?(memory_abstraction = true) ~name ~port ~rtl
     ~refmap () =
   let instrs = Ila.leaf_instructions port in
   let gens =
@@ -132,22 +134,17 @@ let prepare_port ?simplify ?(memory_abstraction = false) ~name ~port ~rtl
     pp_shared = sh;
     pp_slots = slots;
     pp_instrs = instrs;
-    pp_concrete = concrete;
+    pp_concrete = Array.of_list concrete;
     pp_abstraction = abstraction;
     pp_label = label;
     pp_simplify = simplify;
-    pp_frame_gen =
-      (match abstraction with
-      | Some ab -> Mem_abstract.generation ab
-      | None -> 0);
-    pp_generation = 0;
+    pp_frame_gen = abstraction_generation abstraction;
   }
 
 let prepared_port_name pr = pr.pp_port.Ila.name
 let prepared_instrs pr = List.map (fun i -> i.Ila.instr_name) pr.pp_instrs
 let prepared_shared pr = pr.pp_shared
 let prepared_abstraction pr = pr.pp_abstraction
-let frame_generation pr = pr.pp_generation
 
 let prepared_slot pr instr_name =
   match Hashtbl.find_opt pr.pp_slots instr_name with
@@ -159,24 +156,51 @@ let prepared_slot pr instr_name =
    the concrete fallback then still produces a definite verdict. *)
 let max_cegar_rounds = 16
 
+(* The CEGAR loop, shared by the prepared-port and the fresh paths.
+   [solve] decides the current abstract encoding and names its rung;
+   a spurious-counterexample unknown re-encodes the refined window
+   ([reencode], when the window moved past [frame_gen]) and retries,
+   and when refinement stalls [concrete] decides the concrete property
+   on a fresh solver.  The rung gains ["+abstract"] or ["+cegarN"], or
+   reads ["abstract>concrete"] after the fallback. *)
+let cegar ab ~frame_gen ~solve ~reencode ~concrete =
+  let rec attempt round stats_acc =
+    let v, s, rung = solve () in
+    let stats_acc = Checker.merge_stats stats_acc s in
+    match v with
+    | Checker.Unknown r when Checker.is_spurious_reason r ->
+      if Mem_abstract.generation ab > frame_gen () && round < max_cegar_rounds
+      then begin
+        reencode ();
+        attempt (round + 1) stats_acc
+      end
+      else
+        let v, s = concrete () in
+        (v, Checker.merge_stats stats_acc s, "abstract>concrete")
+    | _ ->
+      ( v,
+        stats_acc,
+        if round = 0 then rung ^ "+abstract"
+        else Printf.sprintf "%s+cegar%d" rung round )
+  in
+  attempt 0 empty_stats
+
+let unbounded budget = Option.value budget ~default:Checker.unlimited
+
 let rebuild_frame pr =
   pr.pp_shared <-
     make_shared ~simplify:pr.pp_simplify ~label:pr.pp_label
-      ~abstraction:pr.pp_abstraction pr.pp_concrete;
-  pr.pp_frame_gen <-
-    (match pr.pp_abstraction with
-    | Some ab -> Mem_abstract.generation ab
-    | None -> 0);
-  pr.pp_generation <- pr.pp_generation + 1
+      ~abstraction:pr.pp_abstraction
+      (Array.to_list pr.pp_concrete);
+  pr.pp_frame_gen <- abstraction_generation pr.pp_abstraction
 
 let check_port_instr ?budget pr instr_name =
   match prepared_slot pr instr_name with
+  | Error msg ->
+    (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
   | Ok idx -> (
     (* the ladder: incremental -> fresh -> tightened -> Unknown, each
-       demotion observable; with the memory abstraction active, a
-       spurious-counterexample unknown re-encodes the refined window
-       and retries (CEGAR), falling back to the concrete encoding when
-       refinement stalls *)
+       demotion observable *)
     let ladder () =
       try Checker.check_shared_degrading ?budget pr.pp_shared idx
       with e ->
@@ -184,43 +208,39 @@ let check_port_instr ?budget pr instr_name =
           empty_stats,
           "error" )
     in
-    let concrete_fallback stats_acc =
-      match List.nth_opt pr.pp_concrete idx with
-      | None ->
-        ( Checker.Unknown "exception: no concrete property for slot",
-          stats_acc,
-          "error" )
-      | Some p ->
-        let v, s =
-          Checker.check_fresh
-            ~budget:(Option.value budget ~default:Checker.unlimited)
+    match pr.pp_abstraction with
+    | None -> ladder ()
+    | Some ab ->
+      cegar ab
+        ~frame_gen:(fun () -> pr.pp_frame_gen)
+        ~solve:ladder
+        ~reencode:(fun () -> rebuild_frame pr)
+        ~concrete:(fun () ->
+          Checker.check_fresh ~budget:(unbounded budget)
             ~simplify:(Option.value pr.pp_simplify ~default:true)
-            p
-        in
-        (v, Checker.merge_stats stats_acc s, "abstract>concrete")
+            pr.pp_concrete.(idx)))
+
+let check_property ?budget ?(memory_abstraction = true) p =
+  match if memory_abstraction then Mem_abstract.create [ p ] else None with
+  | None ->
+    let v, s =
+      Checker.check_fresh ~budget:(unbounded budget) ~simplify:true p
     in
-    let rec attempt round stats_acc =
-      let v, s, rung = ladder () in
-      let stats_acc = Checker.merge_stats stats_acc s in
-      match (v, pr.pp_abstraction) with
-      | Checker.Unknown r, Some ab when Checker.is_spurious_reason r ->
-        if Mem_abstract.generation ab > pr.pp_frame_gen
-           && round < max_cegar_rounds
-        then begin
-          rebuild_frame pr;
-          attempt (round + 1) stats_acc
-        end
-        else concrete_fallback stats_acc
-      | _, Some _ ->
-        let tag = if round = 0 then "+abstract" else
-            Printf.sprintf "+cegar%d" round
+    (v, s, "fresh")
+  | Some ab ->
+    let frame_gen = ref (Mem_abstract.generation ab) in
+    cegar ab
+      ~frame_gen:(fun () -> !frame_gen)
+      ~solve:(fun () ->
+        let v, s =
+          Checker.check_fresh ~budget:(unbounded budget) ~simplify:true
+            ~on_sat:(Mem_abstract.hook ab ~prop_index:0)
+            (Mem_abstract.abstract_properties ab).(0)
         in
-        (v, stats_acc, rung ^ tag)
-      | _, None -> (v, stats_acc, rung)
-    in
-    attempt 0 empty_stats)
-  | Error msg ->
-    (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
+        (v, s, "fresh"))
+      ~reencode:(fun () -> frame_gen := Mem_abstract.generation ab)
+      ~concrete:(fun () ->
+        Checker.check_fresh ~budget:(unbounded budget) ~simplify:true p)
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 
@@ -241,7 +261,7 @@ let enumerate ?only_ports (module_ila : Module_ila.t) =
     selected
 
 let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
-    ?(incremental = true) ?(memory_abstraction = false) ~name module_ila rtl
+    ?(incremental = true) ?(memory_abstraction = true) ~name module_ila rtl
     ~refmap_for =
   let t0 = Unix.gettimeofday () in
   let first_failure = ref None in
@@ -273,41 +293,30 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
           with e -> Error (message_of_exn e)
         in
         let results = ref [] in
-        (* Incremental mode: generate every property of the port up
-           front and share one solver context across them (encoding
+        (* Incremental mode generates every property of the port up
+           front and shares one solver context across them (encoding
            inside the context stays lazy, so early stopping still skips
            the unchecked instructions' CNF).  Fresh mode regenerates
            and re-blasts per instruction. *)
-        let shared_check =
+        let check_instr =
           match refmap with
-          | Error _ -> None
+          | Error msg ->
+            fun _ ->
+              (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
           | Ok refmap when incremental ->
-            let pr = prepare_port ~memory_abstraction ~name ~port ~rtl ~refmap () in
-            Some
-              (fun (i : Ila.instruction) ->
-                check_port_instr ?budget pr i.Ila.instr_name)
-          | Ok _ -> None
-        in
-        let check_instr refmap (i : Ila.instruction) =
-          match shared_check with
-          | Some f -> (
-            try f i
-            with e ->
-              ( Checker.Unknown ("exception: " ^ message_of_exn e),
-                empty_stats,
-                "error" ))
-          | None -> (
-            try
-              let property = Propgen.generate_for ~ila:port ~rtl ~refmap i in
-              if memory_abstraction then
-                Mem_abstract.check_property ?budget property
-              else
-                let v, s = Checker.check ?budget property in
-                (v, s, "fresh")
-            with e ->
-              ( Checker.Unknown ("exception: " ^ message_of_exn e),
-                empty_stats,
-                "error" ))
+            let pr =
+              prepare_port ~memory_abstraction ~name ~port ~rtl ~refmap ()
+            in
+            fun (i : Ila.instruction) ->
+              check_port_instr ?budget pr i.Ila.instr_name
+          | Ok refmap -> (
+            fun i ->
+              match Propgen.generate_for ~ila:port ~rtl ~refmap i with
+              | p -> check_property ?budget ~memory_abstraction p
+              | exception e ->
+                ( Checker.Unknown ("exception: " ^ message_of_exn e),
+                  empty_stats,
+                  "error" ))
         in
         let rec check_all = function
           | [] -> ()
@@ -329,12 +338,7 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
                 else None
               in
               let it0 = Unix.gettimeofday () in
-              let verdict, stats, rung =
-                match refmap with
-                | Ok refmap -> check_instr refmap i
-                | Error msg ->
-                  (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
-              in
+              let verdict, stats, rung = check_instr i in
               (match span with
               | None -> ()
               | Some id ->
@@ -359,6 +363,7 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
                   port = port.Ila.name;
                   verdict;
                   stats;
+                  rung;
                   time_s = Unix.gettimeofday () -. it0;
                 }
               in

@@ -10,6 +10,10 @@ type instr_result = {
   port : string;
   verdict : Checker.verdict;
   stats : Checker.stats;
+  rung : string;
+      (** what produced the verdict: the rung named by
+          {!check_port_instr} (or {!check_property} on the fresh path),
+          ["error"] when the instruction could not be checked *)
   time_s : float;
       (** wall clock of this instruction's check (property generation
           included), captured as a single [Unix.gettimeofday] delta —
@@ -71,8 +75,8 @@ val prepare_port :
     whose generation raises poisons only its own instruction — checking
     it yields [Unknown "exception: ..."], the others are unaffected.
 
-    With [memory_abstraction:true] (default false) and at least one
-    memory-sorted state variable in the generated properties, the
+    With [memory_abstraction:true] (the default) and at least one
+    memory wider than the window in the generated properties, the
     shared context encodes the {!Mem_abstract} rewrite of the group
     instead of the concrete properties; SAT models are replayed
     concretely and refine the window ({!check_port_instr} drives the
@@ -87,16 +91,12 @@ val prepared_shared : prepared_port -> Checker.shared
 (** The underlying shared context — exposed for callers that need the
     frozen frame CNF and selectors (proof-cache keying).  Under the
     memory abstraction this frame is {e replaced} after a CEGAR
-    refinement; key any cached digest on {!frame_generation}. *)
+    refinement: callers that key anything on it pin the value returned
+    right after {!prepare_port} ({!Ilv_engine.Engine.port_of}). *)
 
 val prepared_abstraction : prepared_port -> Mem_abstract.t option
 (** The memory-abstraction state, when [prepare_port] was called with
     [memory_abstraction:true] and the group mentions a memory. *)
-
-val frame_generation : prepared_port -> int
-(** Bumped every time a CEGAR refinement rebuilds the shared frame;
-    starts at 0.  Long-lived callers (the daemon) that cache anything
-    derived from {!prepared_shared} must invalidate when this moves. *)
 
 val prepared_slot : prepared_port -> string -> (int, string) result
 (** The property index of an instruction in {!prepared_shared}'s
@@ -110,18 +110,33 @@ val check_port_instr :
   Checker.verdict * Checker.stats * string
 (** Decides one instruction in the prepared context through the
     degradation ladder ({!Checker.check_shared_degrading}); the string
-    names the ladder rung that produced the verdict.  Exceptions and
-    unknown instruction names degrade to [Unknown "exception: ..."]
-    with rung ["error"] — never an escaping exception.
+    names the ladder rung that produced the verdict (["incremental"],
+    ["fresh"], ["tightened"] or ["degraded"]).  Exceptions and unknown
+    instruction names degrade to [Unknown "exception: ..."] with rung
+    ["error"] — never an escaping exception.
 
     When the port was prepared with the memory abstraction, this also
-    drives the CEGAR loop: a spurious abstract counterexample refines
-    the window, rebuilds the shared frame and retries (rung suffixed
-    ["+cegarN"]); if refinement stalls or exceeds its round ceiling the
-    instruction's {e concrete} property is decided with a fresh solver
-    (rung ["abstract>concrete"]).  Verdicts are always concrete-valid:
-    [Failed] traces come from concrete replay, [Proved] from the sound
-    UNSAT direction of the abstraction. *)
+    drives the CEGAR loop: the rung gains ["+abstract"] when the first
+    abstract encoding decided; a spurious abstract counterexample
+    refines the window, rebuilds the shared frame and retries (rung
+    suffixed ["+cegarN"]); if refinement stalls or exceeds its round
+    ceiling the instruction's {e concrete} property is decided with a
+    fresh solver (rung ["abstract>concrete"]).  Verdicts are always
+    concrete-valid: [Failed] traces come from concrete replay, [Proved]
+    from the sound UNSAT direction of the abstraction. *)
+
+val check_property :
+  ?budget:Checker.budget ->
+  ?memory_abstraction:bool ->
+  Property.t ->
+  Checker.verdict * Checker.stats * string
+(** Decides one property on a fresh solver — the reference path of
+    [run ~incremental:false].  With [memory_abstraction] (default true)
+    and a memory wider than the window, it runs the same CEGAR loop as
+    {!check_port_instr} on a one-property abstraction.  The rung is
+    ["fresh"], suffixed like {!check_port_instr}'s, or
+    ["abstract>concrete"].  Exceptions become [Unknown "exception:
+    ..."]. *)
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 (** One refinement obligation, as data: a leaf (sub-)instruction of one
@@ -168,12 +183,12 @@ val run :
     once and learnt clauses transfer between queries.  An incremental
     query that returns [Unknown] is retried down the degradation
     ladder ({!Checker.check_shared_degrading}) before the verdict is
-    accepted.  [incremental:false] restores the
-    fresh-solver-per-instruction behavior; the verdicts are the same
-    either way (only [Unknown] cutoff points can differ under a
-    {!Checker.budget}).
+    accepted.  [incremental:false] is the fresh-solver-per-instruction
+    reference path ({!check_property}) that differential tests compare
+    against; the verdicts are the same either way (only [Unknown]
+    cutoff points can differ under a {!Checker.budget}).
 
-    [memory_abstraction] (default false) checks memory-mentioning
+    [memory_abstraction] (default true) checks memory-mentioning
     properties through the {!Mem_abstract} window encoding with CEGAR
     refinement instead of bit-blasting whole arrays; verdicts are
     unchanged (abstract proofs are sound, counterexamples are replayed

@@ -45,7 +45,7 @@ val verify :
 (** Verifies the golden RTL against the module-ILA.  [incremental]
     (default true) is {!Verify.run}'s shared-solver mode; [timeout_s]
     its per-port wall-clock deadline (default unlimited);
-    [memory_abstraction] (default false) its CEGAR window encoding for
+    [memory_abstraction] (default true) its CEGAR window encoding for
     memory-sorted state ({!Ilv_core.Mem_abstract}). *)
 
 val verify_buggy :

@@ -15,7 +15,8 @@ type row = {
   proved : bool;
 }
 
-let measure ?(verify = fun d -> Design.verify d) (d : Design.t) =
+let measure ?memory_abstraction
+    ?(verify = fun d -> Design.verify ?memory_abstraction d) (d : Design.t) =
   let rtl_stats = Ilv_rtl.Rtl_stats.of_design d.Design.rtl in
   let ila_stats = Ila_stats.of_module d.Design.module_ila in
   let refmap_loc =
@@ -28,7 +29,7 @@ let measure ?(verify = fun d -> Design.verify d) (d : Design.t) =
     match d.Design.bugs with
     | [] -> None
     | bug :: _ ->
-      let report = Design.verify_buggy d bug in
+      let report = Design.verify_buggy ?memory_abstraction d bug in
       assert (not (Verify.proved report));
       Some report.Verify.total_time_s
   in

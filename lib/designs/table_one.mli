@@ -19,8 +19,13 @@ type row = {
   proved : bool;
 }
 
-val measure : ?verify:(Design.t -> Ilv_core.Verify.report) -> Design.t -> row
-(** Runs the buggy variant (if any) and the golden verification.
+val measure :
+  ?memory_abstraction:bool ->
+  ?verify:(Design.t -> Ilv_core.Verify.report) ->
+  Design.t ->
+  row
+(** Runs the buggy variant (if any) and the golden verification, both
+    with [memory_abstraction] (default true, as in {!Design.verify}).
     [verify] (default {!Design.verify}) overrides how the golden run is
     produced — the hook through which [ilaverif table -j N] substitutes
     the parallel verification engine without this library depending on

@@ -59,28 +59,20 @@ let corrupt_file path mode =
   close_out oc
 
 (* dir-relative paths; entries live in two-character shard
-   subdirectories (plus the root for legacy flat layouts) *)
+   subdirectories *)
 let proof_files dir =
   let entries d =
     match Sys.readdir d with
     | fs -> Array.to_list fs
     | exception Sys_error _ -> []
   in
-  let top = entries dir in
-  let shards =
-    List.filter
-      (fun f ->
-        String.length f = 2
-        &&
-        try Sys.is_directory (Filename.concat dir f)
-        with Sys_error _ -> false)
-      top
-  in
-  top
-  @ List.concat_map
-      (fun s ->
-        List.map (Filename.concat s) (entries (Filename.concat dir s)))
-      shards
+  entries dir
+  |> List.filter (fun f ->
+         String.length f = 2
+         && try Sys.is_directory (Filename.concat dir f)
+            with Sys_error _ -> false)
+  |> List.concat_map (fun s ->
+         List.map (Filename.concat s) (entries (Filename.concat dir s)))
   |> List.filter (fun f -> Filename.check_suffix f ".proof")
   |> List.sort compare
 

@@ -6,28 +6,32 @@ type job = {
   variant : string option;
   port : string;
   instr : string;
-  property : Property.t Lazy.t;
+  prepare : memory_abstraction:bool -> Verify.prepared_port;
 }
+
+(* "design" or "design+variant": the name a variant's ports are
+   prepared (and chaos-keyed) under *)
+let variant_name design variant =
+  design ^ match variant with None -> "" | Some v -> "+" ^ v
 
 let jobs_of ?variant ?only_ports ?(first_id = 0) ~name module_ila rtl
     ~refmap_for () =
-  let tasks = Verify.enumerate ?only_ports module_ila in
+  let label = variant_name name variant in
   List.mapi
     (fun i (t : Verify.task) ->
       let port = t.Verify.task_port in
-      let instr = t.Verify.task_instr in
       {
         id = first_id + i;
         design = name;
         variant;
         port = port.Ila.name;
-        instr = instr.Ila.instr_name;
-        property =
-          lazy
-            (Propgen.generate_for ~ila:port ~rtl
-               ~refmap:(refmap_for port.Ila.name) instr);
+        instr = t.Verify.task_instr.Ila.instr_name;
+        prepare =
+          (fun ~memory_abstraction ->
+            Verify.prepare_port ~memory_abstraction ~name:label ~port ~rtl
+              ~refmap:(refmap_for port.Ila.name) ());
       })
-    tasks
+    (Verify.enumerate ?only_ports module_ila)
 
 type result = {
   job_id : int;
@@ -93,14 +97,11 @@ let verdict_string = function
    the pool's supervision is concerned, which is the point.  Guarded by
    [Pool.in_worker] so an in-process run ([jobs <= 1]) can never shoot
    the main process; keyed on the job's {e group} identity (design +
-   variant + port — the pool's scheduling atom in incremental mode), so
-   the one-shot ledger both survives the retry running in a different
-   worker and guarantees at most one kill per group: a second kill on
-   any job of the same group would poison the whole group. *)
-let job_chaos_key (j : job) =
-  j.design
-  ^ (match j.variant with None -> "" | Some v -> "+" ^ v)
-  ^ "/" ^ j.port
+   variant + port — the pool's scheduling atom), so the one-shot ledger
+   both survives the retry running in a different worker and
+   guarantees at most one kill per group: a second kill on any job of
+   the same group would poison the whole group. *)
+let job_chaos_key (j : job) = variant_name j.design j.variant ^ "/" ^ j.port
 
 let chaos_kill_point (j : job) =
   if
@@ -109,8 +110,124 @@ let chaos_kill_point (j : job) =
        = Ilv_obs.Inject.Fault
   then Unix.kill (Unix.getpid ()) Sys.sigkill
 
-(* Per-group (or per-job, in fresh mode) absolute deadline: the clock
-   starts when the group is picked up, preparation included. *)
+(* ---- one obligation against a prepared port ----
+
+   The single checking step shared by the engine and the daemon: key
+   the obligation, consult the memo and the proof cache, otherwise
+   decide it with [Verify.check_port_instr] and store the verdict. *)
+
+type port = {
+  prepared : Verify.prepared_port;
+  key_sh : Checker.shared;
+      (* the generation-0 shared context, pinned at preparation time:
+         keys must be deterministic across runs, and the live frame is
+         replaced when a CEGAR refinement rebuilds it *)
+  mutable key_frame : string option;
+      (* [Proof_cache.frame_digest] of [key_sh]'s frozen CNF, computed
+         on first use (freezing costs one encoding pass) *)
+  mutable stored_frame : (Checker.shared * (int * int list list)) option;
+      (* canonical CNF of the last frame an entry was stored against *)
+}
+
+let port_of prepared =
+  {
+    prepared;
+    key_sh = Verify.prepared_shared prepared;
+    key_frame = None;
+    stored_frame = None;
+  }
+
+let prepared port = port.prepared
+
+type source = Solved | Cache_hit | Memo_hit
+
+let obligation_key port instr =
+  match Verify.prepared_slot port.prepared instr with
+  | Error _ -> None
+  | Ok idx -> (
+    match Checker.shared_frame_selectors port.key_sh idx with
+    | [] -> None (* encoding failed: uncacheable *)
+    | selectors ->
+      let frame =
+        match port.key_frame with
+        | Some d -> d
+        | None ->
+          let d = Proof_cache.frame_digest (Checker.shared_cnf port.key_sh) in
+          port.key_frame <- Some d;
+          d
+      in
+      let mode =
+        Option.map
+          (fun _ -> "abstract")
+          (Verify.prepared_abstraction port.prepared)
+      in
+      Some (Proof_cache.key_of_shared ?mode ~frame ~selectors ()))
+
+(* The stored CNF + selectors are the decision-time frame's (after a
+   CEGAR refinement, the rebuilt one), so [Proof_cache.validate]
+   re-solves to the stored verdict shape; the key stays the
+   generation-0 one. *)
+let store_entry cache port ~design ~instr ~key verdict stats =
+  let sh = Verify.prepared_shared port.prepared in
+  let cnf =
+    match port.stored_frame with
+    | Some (sh', cnf) when sh' == sh -> cnf
+    | _ ->
+      let cnf = Proof_cache.canonical_cnf (Checker.shared_cnf sh) in
+      port.stored_frame <- Some (sh, cnf);
+      cnf
+  in
+  match Verify.prepared_slot port.prepared instr with
+  | Error _ -> ()
+  | Ok idx ->
+    Proof_cache.store cache
+      {
+        Proof_cache.key;
+        engine_version = Proof_cache.version;
+        design;
+        instr = Verify.prepared_port_name port.prepared ^ "." ^ instr;
+        verdict;
+        stats;
+        cnf;
+        hyps =
+          Proof_cache.canonical_hyps (Checker.shared_frame_selectors sh idx);
+        created_s = Unix.gettimeofday ();
+      }
+
+let check_instr ?budget ?cache ?memo ~design port instr =
+  let key =
+    if cache = None && memo = None then None else obligation_key port instr
+  in
+  let remember verdict rung =
+    match (key, memo) with
+    | Some k, Some m -> Hashtbl.replace m k (verdict, rung)
+    | _ -> ()
+  in
+  let find tbl f =
+    Option.bind key (fun k -> Option.bind tbl (fun t -> f t k))
+  in
+  match find memo Hashtbl.find_opt with
+  | Some (verdict, rung) -> (verdict, empty_stats, rung, Memo_hit)
+  | None -> (
+    match find cache Proof_cache.lookup with
+    | Some e ->
+      remember e.Proof_cache.verdict "cache";
+      (e.Proof_cache.verdict, e.Proof_cache.stats, "cache", Cache_hit)
+    | None ->
+      let verdict, stats, rung =
+        Verify.check_port_instr ?budget port.prepared instr
+      in
+      remember verdict rung;
+      (* a concrete-fallback verdict has no abstract frame to validate
+         against, so it is never stored *)
+      (match (cache, key) with
+      | Some c, Some key when rung <> "abstract>concrete" ->
+        store_entry c port ~design ~instr ~key verdict stats
+      | _ -> ());
+      (verdict, stats, rung, Solved))
+
+(* Per-group absolute deadline: the clock starts when the group is
+   picked up, preparation included. *)
 let deadlined ~timeout_s budget =
   match timeout_s with
   | None -> budget
@@ -120,170 +237,32 @@ let deadlined ~timeout_s budget =
          (Unix.gettimeofday () +. t)
          (Option.value budget ~default:Checker.unlimited))
 
-(* Discharge one job: generate + prepare the property, try the cache,
-   then the portfolio; store definitive fresh verdicts.  Any exception
-   becomes this job's [Unknown] — never the sweep's. *)
-
-(* Abstraction-path fresh discharge.  The cache key comes from the
-   generation-0 abstract encoding — deterministic however the CEGAR
-   loop unfolds — and an entry is only stored when generation 0 itself
-   decided the verdict (rung "abstract"), so the stored CNF re-solves
-   to the stored verdict shape under [Proof_cache.validate]. *)
-let discharge_abstract ~cache ~budget (j : job) (t : Mem_abstract.t) =
-  let t0 = Unix.gettimeofday () in
-  let p = (Mem_abstract.concrete_properties t).(0) in
-  let snapshot =
-    match cache with
-    | None -> None
-    | Some _ ->
-      let pr0 = Checker.prepare (Mem_abstract.abstract_properties t).(0) in
-      let n_vars, clauses = Checker.cnf pr0 in
-      let hyps = Checker.hypothesis_literals pr0 in
-      Some
-        ( Proof_cache.key_of_cnf ~mode:"abstract" ~n_vars ~clauses ~hyps (),
-          Proof_cache.canonical_cnf (n_vars, clauses),
-          hyps )
-  in
-  let cached =
-    match (cache, snapshot) with
-    | Some c, Some (key, _, _) ->
-      Option.map (fun e -> (key, e)) (Proof_cache.lookup c key)
-    | _ -> None
-  in
-  match cached with
-  | Some (_, (e : Proof_cache.entry)) ->
-    result_of_job j ~verdict:e.Proof_cache.verdict ~stats:e.Proof_cache.stats
-      ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend:"cache" ~cache_hit:true
-  | None ->
-    let verdict, stats, backend = Mem_abstract.check_property ?budget p in
-    (match (cache, snapshot, backend) with
-    | Some c, Some (key, cnf, hyps), "abstract" ->
-      Proof_cache.store c
-        {
-          Proof_cache.key;
-          engine_version = Proof_cache.version;
-          design = j.design;
-          instr = j.port ^ "." ^ j.instr;
-          verdict;
-          stats;
-          cnf;
-          hyps;
-          created_s = Unix.gettimeofday ();
-        }
-    | _ -> ());
-    result_of_job j ~verdict ~stats
-      ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend ~cache_hit:false
-
-let discharge ~cache ~portfolio ~budget ~memory_abstraction (j : job) =
+let discharge ~cache ~budget port (j : job) =
   chaos_kill_point j;
   let t0 = Unix.gettimeofday () in
-  try
-    let p = Lazy.force j.property in
-    match
-      if memory_abstraction then Mem_abstract.create [ p ] else None
-    with
-    | Some t -> discharge_abstract ~cache ~budget j t
-    | None ->
-    let pr = Checker.prepare p in
-    (* Snapshot the proof problem before any solving: the solver appends
-       learned clauses to the context's CNF, so a key computed afterwards
-       would never match a fresh run's lookup. *)
-    let snapshot =
-      match cache with
-      | None -> None
-      | Some _ ->
-        let n_vars, clauses = Checker.cnf pr in
-        let hyps = Checker.hypothesis_literals pr in
-        Some
-          ( Proof_cache.key_of_cnf ~n_vars ~clauses ~hyps (),
-            Proof_cache.canonical_cnf (n_vars, clauses),
-            hyps )
-    in
-    let cached =
-      match (cache, snapshot) with
-      | Some c, Some (key, _, _) ->
-        Option.map (fun e -> (key, e)) (Proof_cache.lookup c key)
-      | _ -> None
-    in
-    match cached with
-    | Some (_, (e : Proof_cache.entry)) ->
-      result_of_job j ~verdict:e.Proof_cache.verdict
-        ~stats:e.Proof_cache.stats
-        ~time_s:(Unix.gettimeofday () -. t0)
-        ~backend:"cache" ~cache_hit:true
-    | None ->
-      let verdict, stats, backend = Portfolio.decide ?budget portfolio pr in
-      (match (cache, snapshot) with
-      | Some c, Some (key, cnf, hyps) ->
-        Proof_cache.store c
-          {
-            Proof_cache.key;
-            engine_version = Proof_cache.version;
-            design = j.design;
-            instr = j.port ^ "." ^ j.instr;
-            verdict;
-            stats;
-            cnf;
-            hyps;
-            created_s = Unix.gettimeofday ();
-          }
-      | _ -> ());
-      result_of_job j ~verdict ~stats
-        ~time_s:(Unix.gettimeofday () -. t0)
-        ~backend ~cache_hit:false
-  with
-  | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
-  | e ->
-    result_of_job j
-      ~verdict:(Checker.Unknown ("engine: " ^ Printexc.to_string e))
-      ~stats:empty_stats
+  let result verdict stats backend ~cache_hit =
+    result_of_job j ~verdict ~stats
       ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend:"error" ~cache_hit:false
-
-(* ---- shared-frame (incremental) dispatch ----
-
-   Jobs of one (design, variant) share a single bit-blasted frame and
-   one incremental solver.  The group state is built by [Pool]'s
-   per-worker [init] — in the worker process, after the fork, once per
-   worker — so a worker pays one [prepare_shared] for all the jobs it
-   serves instead of one [prepare] per job. *)
-
-type shared_state = {
-  mutable st_sh : Checker.shared;
-      (** replaced (re-encoded with a grown window) after a CEGAR
-          refinement *)
-  st_slots : (int, (int, string) Stdlib.result) Hashtbl.t;
-      (** job id -> index into the shared context, or the
-          property-generation error *)
-  mutable st_frame : string Lazy.t;
-      (** digest of the {e current} frame (forces the freeze) *)
-  mutable st_canonical : (int * int list list) Lazy.t;
-  st_key_frame : string Lazy.t;
-      (** digest of the {e generation-0} frame — cache keys come from
-          here so they are deterministic regardless of how (or whether)
-          CEGAR refined the window during a particular sweep *)
-  st_key_selectors : int -> int list list;
-      (** generation-0 selectors, same determinism argument *)
-  st_ab : Mem_abstract.t option;
-  st_concrete : (int, Property.t) Hashtbl.t;
-      (** slot index -> concrete property, for the CEGAR fallback *)
-  mutable st_gen : int;
-      (** abstraction generation [st_sh] was built from *)
-}
+      ~backend ~cache_hit
+  in
+  let errored msg =
+    result (Checker.Unknown ("engine: " ^ msg)) empty_stats "error"
+      ~cache_hit:false
+  in
+  match port with
+  | Error msg -> errored msg
+  | Ok port -> (
+    match check_instr ?budget ?cache ~design:j.design port j.instr with
+    | verdict, stats, rung, source ->
+      result verdict stats rung ~cache_hit:(source = Cache_hit)
+    | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
+    | exception e -> errored (Printexc.to_string e))
 
 (* Group jobs by (design, variant, port), preserving first-appearance
-   group order and within-group (instruction) order.  The port — not
-   the whole design — is the sharing unit: a module's ports are
-   pairwise independent by construction (no shared states), so
-   instructions of different ports overlap on almost nothing, while
-   instructions of one port share the port's decode and next-state
-   frame almost entirely.  One solver per port keeps the clause
-   database dense with reusable structure instead of dragging every
-   sibling port's dead Tseitin definitions through each query's watch
-   lists (this mirrors [Verify]'s lazy path, which also scopes its
-   shared context per port). *)
+   group order and within-group (instruction) order.  The port is the
+   sharing unit: a module's ports are pairwise independent by
+   construction (no shared states), while instructions of one port
+   share the port's decode and next-state frame almost entirely. *)
 let group_jobs job_list =
   let tbl = Hashtbl.create 8 in
   let order = ref [] in
@@ -299,210 +278,9 @@ let group_jobs job_list =
     job_list;
   List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order
 
-(* The group's shared frame: concrete properties directly, or their
-   memory-abstracted rewrite with the CEGAR replay hook installed
-   (mirrors [Verify.prepare_port]). *)
-let group_shared ~label ~abstraction concrete =
-  let sh =
-    match abstraction with
-    | None -> Checker.prepare_shared ~label concrete
-    | Some ab ->
-      Checker.prepare_shared ~label
-        ~on_sat:(Mem_abstract.hook ab)
-        (Array.to_list (Mem_abstract.abstract_properties ab))
-  in
-  (* Freeze before any solving: the canonical snapshot (built on a
-     throwaway context, so the live solver keeps its lazy working set)
-     provides the cache keys, makes selector numbering identical
-     across workers, and emits the per-design frame span the profiler
-     aggregates. *)
-  Checker.shared_freeze sh;
-  sh
-
-let init_group ~memory_abstraction group =
-  let gens =
-    List.map
-      (fun j ->
-        ( j.id,
-          match Lazy.force j.property with
-          | p -> Ok p
-          | exception ((Out_of_memory | Stack_overflow) as fatal) ->
-            raise fatal
-          | exception e -> Error (Printexc.to_string e) ))
-      group
-  in
-  let label =
-    match group with
-    | [] -> ""
-    | j :: _ ->
-      (j.design ^ match j.variant with None -> "" | Some v -> "+" ^ v)
-      ^ "/" ^ j.port
-  in
-  let concrete = List.filter_map (fun (_, g) -> Result.to_option g) gens in
-  let abstraction =
-    if memory_abstraction then Mem_abstract.create ~label concrete else None
-  in
-  let sh = group_shared ~label ~abstraction concrete in
-  let slots = Hashtbl.create 16 in
-  let concretes = Hashtbl.create 16 in
-  let next = ref 0 in
-  List.iter
-    (fun (id, g) ->
-      match g with
-      | Ok p ->
-        Hashtbl.replace slots id (Ok !next);
-        Hashtbl.replace concretes !next p;
-        incr next
-      | Error msg -> Hashtbl.replace slots id (Error msg))
-    gens;
-  let frame0 = lazy (Proof_cache.frame_digest (Checker.shared_cnf sh)) in
-  let canonical0 = lazy (Proof_cache.canonical_cnf (Checker.shared_cnf sh)) in
-  {
-    st_sh = sh;
-    st_slots = slots;
-    st_frame = frame0;
-    st_canonical = canonical0;
-    st_key_frame = frame0;
-    st_key_selectors = (fun idx -> Checker.shared_frame_selectors sh idx);
-    st_ab = abstraction;
-    st_concrete = concretes;
-    st_gen =
-      (match abstraction with
-      | Some ab -> Mem_abstract.generation ab
-      | None -> 0);
-  }
-
-(* Refinement ceiling, as in [Verify.check_port_instr]. *)
-let max_cegar_rounds = 16
-
-let rebuild_group st label =
-  st.st_sh <- group_shared ~label ~abstraction:st.st_ab [];
-  (* [group_shared] ignores the concrete list when an abstraction is
-     present, which is the only way here *)
-  st.st_frame <-
-    (let sh = st.st_sh in
-     lazy (Proof_cache.frame_digest (Checker.shared_cnf sh)));
-  st.st_canonical <-
-    (let sh = st.st_sh in
-     lazy (Proof_cache.canonical_cnf (Checker.shared_cnf sh)));
-  st.st_gen <-
-    (match st.st_ab with
-    | Some ab -> Mem_abstract.generation ab
-    | None -> 0)
-
-let discharge_shared ~cache ~portfolio ~budget st (j : job) =
-  chaos_kill_point j;
-  let t0 = Unix.gettimeofday () in
-  let errored msg =
-    result_of_job j
-      ~verdict:(Checker.Unknown ("engine: " ^ msg))
-      ~stats:empty_stats
-      ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend:"error" ~cache_hit:false
-  in
-  try
-    match Hashtbl.find_opt st.st_slots j.id with
-    | None -> errored "job missing from its group"
-    | Some (Error msg) -> errored msg
-    | Some (Ok idx) -> (
-      let mode = if st.st_ab = None then None else Some "abstract" in
-      let snapshot =
-        match cache with
-        | None -> None
-        | Some _ -> (
-          (* keys come from the generation-0 frozen snapshot's
-             numbering, so a hit never encodes the property into the
-             live solver at all, and the key is the same whether or not
-             an earlier job's CEGAR refinement already re-encoded this
-             group's frame *)
-          match st.st_key_selectors idx with
-          | [] -> None (* encode failed or no obligations: no key *)
-          | selectors ->
-            Some
-              (Proof_cache.key_of_shared ?mode
-                 ~frame:(Lazy.force st.st_key_frame) ~selectors ()))
-      in
-      let cached =
-        match (cache, snapshot) with
-        | Some c, Some key -> Proof_cache.lookup c key
-        | _ -> None
-      in
-      match cached with
-      | Some (e : Proof_cache.entry) ->
-        result_of_job j ~verdict:e.Proof_cache.verdict
-          ~stats:e.Proof_cache.stats
-          ~time_s:(Unix.gettimeofday () -. t0)
-          ~backend:"cache" ~cache_hit:true
-      | None ->
-        (* the CEGAR loop (no-op without the abstraction): a spurious-
-           counterexample unknown re-encodes the refined window and
-           retries; stalled refinement falls back to the concrete
-           property on a fresh solver *)
-        let rec attempt round stats_acc =
-          let verdict, stats, backend =
-            Portfolio.decide_shared ?budget portfolio st.st_sh idx
-          in
-          let stats_acc = Checker.merge_stats stats_acc stats in
-          match (verdict, st.st_ab) with
-          | Checker.Unknown r, Some ab when Checker.is_spurious_reason r ->
-            if
-              Mem_abstract.generation ab > st.st_gen
-              && round < max_cegar_rounds
-            then begin
-              rebuild_group st (job_chaos_key j);
-              attempt (round + 1) stats_acc
-            end
-            else begin
-              match Hashtbl.find_opt st.st_concrete idx with
-              | None -> (verdict, stats_acc, backend)
-              | Some p ->
-                let v, s =
-                  Checker.check_fresh
-                    ~budget:(Option.value budget ~default:Checker.unlimited)
-                    ~simplify:true p
-                in
-                (v, Checker.merge_stats stats_acc s, "sat>abstract>concrete")
-            end
-          | _, Some _ ->
-            ( verdict,
-              stats_acc,
-              if round = 0 then backend
-              else Printf.sprintf "%s+cegar%d" backend round )
-          | _, None -> (verdict, stats_acc, backend)
-        in
-        let verdict, stats, backend =
-          attempt 0 (Checker.zero_stats (Checker.shared_property st.st_sh idx))
-        in
-        (match (cache, snapshot) with
-        | Some c, Some key ->
-          (* the stored CNF + selectors are the decision-time frame's,
-             so [Proof_cache.validate] re-solves to the stored verdict
-             shape; a concrete-fallback verdict has no frame to store
-             against, so it is simply not cached *)
-          if backend <> "sat>abstract>concrete" then
-            Proof_cache.store c
-              {
-                Proof_cache.key;
-                engine_version = Proof_cache.version;
-                design = j.design;
-                instr = j.port ^ "." ^ j.instr;
-                verdict;
-                stats;
-                cnf = Lazy.force st.st_canonical;
-                hyps = Checker.shared_frame_selectors st.st_sh idx;
-                created_s = Unix.gettimeofday ();
-              }
-        | _ -> ());
-        result_of_job j ~verdict ~stats
-          ~time_s:(Unix.gettimeofday () -. t0)
-          ~backend ~cache_hit:false)
-  with
-  | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
-  | e -> errored (Printexc.to_string e)
-
 (* The instrumented job: one span per obligation job, tagged at the
    end with what actually happened (backend, verdict, cache hit). *)
-let instrumented ~mode discharge_fn (j : job) =
+let instrumented discharge_fn (j : job) =
   if not (Ilv_obs.Obs.enabled ()) then discharge_fn j
   else begin
     let open Ilv_obs.Obs in
@@ -513,7 +291,6 @@ let instrumented ~mode discharge_fn (j : job) =
            ("design", S j.design);
            ("port", S j.port);
            ("instr", S j.instr);
-           ("mode", S mode);
          ]
         @ match j.variant with None -> [] | Some v -> [ ("variant", S v) ])
     in
@@ -530,8 +307,19 @@ let instrumented ~mode discharge_fn (j : job) =
     r
   end
 
-let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
-    ?(incremental = true) ?(memory_abstraction = false) job_list =
+(* The ladder rung a backend names, without its abstraction suffix. *)
+let base_rung backend =
+  match String.index_opt backend '+' with
+  | Some i -> String.sub backend 0 i
+  | None -> backend
+
+let degraded backend =
+  match base_rung backend with
+  | "fresh" | "tightened" | "degraded" | "abstract>concrete" -> true
+  | _ -> false
+
+let run ?(jobs = 1) ?cache ?budget ?timeout_s ?(memory_abstraction = true)
+    job_list =
   let t0 = Unix.gettimeofday () in
   let run_span =
     if Ilv_obs.Obs.enabled () then
@@ -541,60 +329,43 @@ let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
              ("n_jobs", Ilv_obs.Obs.I (List.length job_list));
              ("workers", Ilv_obs.Obs.I (max 1 jobs));
              ("cache", Ilv_obs.Obs.B (cache <> None));
-             ("incremental", Ilv_obs.Obs.B incremental);
-             ( "portfolio",
-               Ilv_obs.Obs.S (Portfolio.choice_to_string portfolio) );
            ])
     else None
   in
-  let ordered_jobs, outcomes =
-    if incremental then begin
-      (* The group — one port's jobs — is the scheduling atom: a worker
-         takes a whole group, prepares its shared frame once, and
-         solves the group's queries back to back so every query after
-         the first inherits the earlier ones' learnt clauses.  Workers
-         persist across groups (one fork per worker for the whole
-         sweep, not per group).  Splitting a group across workers would
-         re-prepare the frame in each and forfeit the learnt-clause
-         transfer that makes incremental solving pay. *)
-      let groups = group_jobs job_list in
-      let discharge_group group =
-        (* the group's deadline starts here, preparation included *)
-        let budget = deadlined ~timeout_s budget in
-        let st = init_group ~memory_abstraction group in
-        List.map
-          (fun j ->
-            instrumented ~mode:"incremental"
-              (discharge_shared ~cache ~portfolio ~budget st)
-              j)
-          group
-      in
-      let group_outcomes = Pool.map ~jobs discharge_group groups in
-      ( List.concat groups,
-        List.concat
-          (List.map2
-             (fun g outcome ->
-               match outcome with
-               | Pool.Done rs when List.length rs = List.length g ->
-                 List.map (fun r -> Pool.Done r) rs
-               | Pool.Done _ ->
-                 List.map
-                   (fun _ -> Pool.Crashed "engine: group result arity mismatch")
-                   g
-               | Pool.Crashed reason ->
-                 List.map (fun _ -> Pool.Crashed reason) g
-               | Pool.Poisoned reason ->
-                 List.map (fun _ -> Pool.Poisoned reason) g)
-             groups group_outcomes) )
-    end
-    else
-      ( job_list,
-        Pool.map ~jobs
-          (instrumented ~mode:"fresh" (fun j ->
-               discharge ~cache ~portfolio
-                 ~budget:(deadlined ~timeout_s budget)
-                 ~memory_abstraction j))
-          job_list )
+  (* The group — one port's jobs — is the scheduling atom: a worker
+     takes a whole group, prepares the port once, and checks the
+     group's instructions back to back so every query after the first
+     inherits the earlier ones' learnt clauses.  Workers persist across
+     groups (one fork per worker for the whole sweep, not per group). *)
+  let groups = group_jobs job_list in
+  let discharge_group group =
+    let budget = deadlined ~timeout_s budget in
+    let port =
+      match group with
+      | [] -> Error "empty group"
+      | j :: _ -> (
+        match j.prepare ~memory_abstraction with
+        | pr -> Ok (port_of pr)
+        | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
+        | exception e -> Error (Printexc.to_string e))
+    in
+    List.map (instrumented (discharge ~cache ~budget port)) group
+  in
+  let outcomes =
+    List.concat
+      (List.map2
+         (fun g outcome ->
+           match outcome with
+           | Pool.Done rs when List.length rs = List.length g ->
+             List.map (fun r -> Pool.Done r) rs
+           | Pool.Done _ ->
+             List.map
+               (fun _ -> Pool.Crashed "engine: group result arity mismatch")
+               g
+           | Pool.Crashed reason -> List.map (fun _ -> Pool.Crashed reason) g
+           | Pool.Poisoned reason -> List.map (fun _ -> Pool.Poisoned reason) g)
+         groups
+         (Pool.map ~jobs discharge_group groups))
   in
   let results =
     List.map2
@@ -612,10 +383,15 @@ let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
             ~verdict:(Checker.Unknown ("engine: poisoned: " ^ reason))
             ~stats:empty_stats ~time_s:0.0 ~backend:"poisoned"
             ~cache_hit:false)
-      ordered_jobs outcomes
+      (List.concat groups) outcomes
   in
   let results = List.sort (fun a b -> compare a.job_id b.job_id) results in
   let count p = List.length (List.filter p results) in
+  let solved r =
+    (not r.cache_hit)
+    && base_rung r.backend <> "error"
+    && r.backend <> "poisoned"
+  in
   let summary =
     {
       n_jobs = List.length results;
@@ -628,20 +404,11 @@ let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
       n_unknown =
         count (fun r ->
             match r.verdict with Checker.Unknown _ -> true | _ -> false);
-      n_errors = count (fun r -> r.backend = "error");
+      n_errors = count (fun r -> base_rung r.backend = "error");
       n_poisoned = count (fun r -> r.backend = "poisoned");
-      n_degraded =
-        count (fun r ->
-            String.length r.backend > 4 && String.sub r.backend 0 4 = "sat>");
+      n_degraded = count (fun r -> degraded r.backend);
       cache_hits = count (fun r -> r.cache_hit);
-      cache_misses =
-        (match cache with
-        | None -> 0
-        | Some _ ->
-          count (fun r ->
-              (not r.cache_hit)
-              && r.backend <> "error"
-              && r.backend <> "poisoned"));
+      cache_misses = (match cache with None -> 0 | Some _ -> count solved);
       fresh_sat_attempts =
         List.fold_left
           (fun acc r ->
@@ -684,6 +451,7 @@ let report_of ~name ~results =
       port = r.r_port;
       verdict = r.verdict;
       stats = r.stats;
+      rung = r.backend;
       time_s = r.time_s;
     }
   in

@@ -4,9 +4,10 @@
     (sub-)instruction, and those obligations are independent by
     construction.  This module turns a sweep — one design, a Table-I
     suite, a mutation campaign — into an explicit {e job list}, then
-    discharges it on a {!Pool} of parallel worker processes, consulting
-    the persistent {!Proof_cache} before any solving and dispatching
-    misses through the {!Portfolio}.
+    discharges it on a {!Pool} of parallel worker processes.  Each
+    worker prepares a port once ({!Ilv_core.Verify.prepare_port}) and
+    checks the port's jobs against it through {!check_instr}, which
+    consults the persistent {!Proof_cache} before any solving.
 
     Determinism: job ids follow {!Ilv_core.Verify.enumerate} order and
     results are returned sorted by id, so the verdicts and their order
@@ -23,9 +24,9 @@ type job = {
   variant : string option;  (** bug label or mutant description, if any *)
   port : string;
   instr : string;
-  property : Property.t Lazy.t;
-      (** forced inside the worker — property generation is part of the
-          parallelised work *)
+  prepare : memory_abstraction:bool -> Verify.prepared_port;
+      (** prepares the job's whole port (property generation included);
+          called inside the worker, once per port group *)
 }
 
 val jobs_of :
@@ -52,11 +53,12 @@ type result = {
   stats : Checker.stats;
   time_s : float;  (** wall clock of the whole job, captured once *)
   backend : string;
-      (** what produced the verdict: ["sat"], ["bdd"], ["race:sat"],
-          ["race:bdd"], ["cache"], ["error"], ["poisoned"] (quarantined
-          by pool supervision), or ["sat>"]-prefixed when the
-          degradation ladder demoted the query (["sat>fresh"],
-          ["sat>tightened"], ["sat>degraded"]) *)
+      (** what produced the verdict: the rung of
+          {!Ilv_core.Verify.check_port_instr} (["incremental"],
+          ["fresh"], ["tightened"], ["degraded"], each possibly suffixed
+          ["+abstract"] / ["+cegarN"], or ["abstract>concrete"]), or
+          ["cache"], ["error"], ["poisoned"] (quarantined by pool
+          supervision) *)
   cache_hit : bool;
 }
 
@@ -70,7 +72,8 @@ type summary = {
       (** jobs quarantined after killing two distinct workers *)
   n_degraded : int;
       (** jobs whose verdict came from a lower rung of the degradation
-          ladder (fresh retry, tightened budget, or final give-up) *)
+          ladder (fresh retry, tightened budget, final give-up) or from
+          the abstraction's concrete fallback *)
   cache_hits : int;
   cache_misses : int;  (** jobs that went to a solver (cache enabled) *)
   fresh_sat_attempts : int;
@@ -79,50 +82,82 @@ type summary = {
   jobs_used : int;
 }
 
+(** {1 Checking one obligation}
+
+    The one key → lookup → solve → store step, shared by {!run}'s
+    workers and the verification daemon. *)
+
+type port
+(** A prepared port together with its cache-key frame: the
+    generation-0 shared context, pinned when the port is wrapped, so
+    keys do not depend on how (or whether) CEGAR refined the window
+    during a particular run. *)
+
+val port_of : Verify.prepared_port -> port
+(** Wrap a freshly prepared port (before any instruction is checked). *)
+
+val prepared : port -> Verify.prepared_port
+
+val obligation_key : port -> string -> string option
+(** The proof-cache key of one instruction ({!Proof_cache.key_of_shared}
+    over the generation-0 frame, tagged ["abstract"] under the memory
+    abstraction), or [None] when its property failed to generate or
+    encode.  Freezes the frame on first use. *)
+
+type source =
+  | Solved  (** decided by {!Ilv_core.Verify.check_port_instr} *)
+  | Cache_hit  (** read from the proof cache *)
+  | Memo_hit  (** read from the caller's in-memory memo *)
+
+val check_instr :
+  ?budget:Checker.budget ->
+  ?cache:Proof_cache.t ->
+  ?memo:(string, Checker.verdict * string) Hashtbl.t ->
+  design:string ->
+  port ->
+  string ->
+  Checker.verdict * Checker.stats * string * source
+(** Decides one instruction of the port.  With [cache] or [memo], the
+    obligation is keyed ({!obligation_key}; an instruction without a
+    key skips both) and the memo, then the cache, are consulted
+    first.  A miss is decided by
+    {!Ilv_core.Verify.check_port_instr}, remembered in the memo, and
+    stored in the cache unless the rung is ["abstract>concrete"] (that
+    verdict has no abstract frame to re-validate against).  The string
+    is the rung ({!result}[.backend]'s vocabulary); a cache hit reads
+    ["cache"], a memo hit the rung it was remembered with.  Memo-hit
+    stats are empty. *)
+
 val run :
   ?jobs:int ->
   ?cache:Proof_cache.t ->
-  ?portfolio:Portfolio.choice ->
   ?budget:Checker.budget ->
   ?timeout_s:float ->
-  ?incremental:bool ->
   ?memory_abstraction:bool ->
   job list ->
   result list * summary
 (** Discharges every job.  [jobs] (default 1) is the worker count —
-    [1] runs in-process with no fork.  With [cache], every job first
-    computes its proof-cache key; a hit skips solving entirely, a miss
-    solves and stores any definitive verdict.  [portfolio] (default
-    [Auto]) selects the backend per obligation; [budget] bounds the SAT
-    leg as in {!Checker.check_prepared}.
+    [1] runs in-process with no fork.  Jobs are grouped by (design,
+    variant, port); a worker takes a whole group, prepares the port
+    once and checks the group's jobs back to back with {!check_instr},
+    so learnt clauses transfer between a port's obligations.  Workers
+    persist across groups (one fork per worker per sweep).  With
+    [cache], every job first computes its proof-cache key; a hit skips
+    solving entirely, a miss solves and stores any definitive verdict.
+    [budget] bounds every SAT query as in {!Ilv_core.Checker.check}.
 
-    [timeout_s] sets a wall-clock deadline per obligation group — per
-    (design, variant, port) group in incremental mode (the clock starts
-    when a worker picks the group up, preparation included), per job in
-    fresh mode.  When it passes, remaining obligations yield timestamped
-    ["deadline: ..."] [Unknown] verdicts instead of hanging the pool.
-    Default: unlimited.
+    [timeout_s] sets a wall-clock deadline per group (the clock starts
+    when a worker picks the group up, preparation included).  When it
+    passes, remaining obligations yield timestamped ["deadline: ..."]
+    [Unknown] verdicts instead of hanging the pool.  Default:
+    unlimited.
 
-    [incremental] (default [true]) groups jobs by (design, variant)
-    and discharges each group against one shared bit-blasted frame in
-    one incremental solver ({!Checker.prepare_shared}): workers are
-    persistent per group — each worker forks once, prepares the shared
-    context once, and streams job after job against it, so learnt
-    clauses transfer between a design's obligations.  Cache keys in
-    this mode hash the shared frame plus the property's activation
-    selectors ({!Proof_cache.key_of_shared}) and can never alias
-    non-incremental entries.  Verdicts and their order are identical
-    in both modes.
-
-    [memory_abstraction] (default [false]) encodes memory-mentioning
-    properties through the {!Ilv_core.Mem_abstract} CEGAR window
-    rewrite instead of bit-blasting whole arrays.  Verdicts are
-    unchanged (abstract proofs are sound; counterexamples are replayed
-    concretely, with a fresh-solver concrete fallback when refinement
-    stalls); cache keys gain an ["abstract"] mode tag so the two
-    encodings never serve each other's entries; backends may carry
-    ["+cegarN"] / ["sat>abstract>concrete"] suffixes recording the
-    refinement work. *)
+    [memory_abstraction] (default [true]) encodes memory-mentioning
+    ports through the {!Ilv_core.Mem_abstract} CEGAR window rewrite
+    instead of bit-blasting whole arrays, exactly as
+    {!Ilv_core.Verify.run} does.  Verdicts are unchanged; cache keys
+    gain an ["abstract"] mode tag so the two encodings never serve each
+    other's entries. *)
 
 val report_of : name:string -> results:result list -> Verify.report
 (** Reassembles engine results (of one design sweep) into the

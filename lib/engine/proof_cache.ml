@@ -100,7 +100,6 @@ let sweep_dead_tmp_in dir =
       files
 
 let sweep_dead_tmp cache_dir =
-  sweep_dead_tmp_in cache_dir;
   List.iter sweep_dead_tmp_in (shard_dirs cache_dir)
 
 let open_ ?dir () =
@@ -235,27 +234,11 @@ let add_mode b = function
     Buffer.add_string b m;
     Buffer.add_char b ';'
 
-let key_of_cnf ?mode ~n_vars ~clauses ~hyps () =
-  let _, clauses = canonical_cnf (n_vars, clauses) in
-  let hyps = canonical_hyps hyps in
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "F;";
-  add_mode b mode;
-  Buffer.add_string b "v";
-  Buffer.add_string b (string_of_int n_vars);
-  add_lit_lists b clauses;
-  Buffer.add_string b "#H";
-  add_lit_lists b hyps;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let key_of_prepared pr =
-  let n_vars, clauses = Checker.cnf pr in
-  key_of_cnf ~n_vars ~clauses ~hyps:(Checker.hypothesis_literals pr) ()
-
-(* Shared-frame (incremental) keys: the frame — one CNF for all of a
-   design's obligations — is digested once per design, and each
-   property's key combines that digest with its canonical activation
-   selectors.  The "I;" tag keeps these disjoint from "F;" keys. *)
+(* Shared-frame keys: the frame — one CNF for all of a port's
+   obligations — is digested once per port, and each property's key
+   combines that digest with its canonical activation selectors.  The
+   "I;" tag keeps these disjoint from the per-property "F;" keys that
+   the removed fresh-solver engine mode wrote. *)
 let frame_digest (n_vars, clauses) =
   let n_vars, clauses = canonical_cnf (n_vars, clauses) in
   let b = Buffer.create 65536 in
@@ -281,10 +264,6 @@ let file_of t key =
   Filename.concat
     (Filename.concat t.cache_dir (shard_of key))
     (key ^ entry_suffix)
-
-(* Pre-sharding layout: entries directly under the cache root.  Still
-   readable (lookup falls back to it), never written to. *)
-let legacy_file_of t key = Filename.concat t.cache_dir (key ^ entry_suffix)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -356,11 +335,7 @@ let lookup t key =
         ignore (quarantine t path);
         None
   in
-  let found =
-    match try_path (file_of t key) with
-    | Some _ as r -> r
-    | None -> try_path (legacy_file_of t key)
-  in
+  let found = try_path (file_of t key) in
   if Ilv_obs.Obs.enabled () then begin
     let open Ilv_obs.Obs in
     match found with
@@ -419,11 +394,9 @@ let entry_files_in dir =
     |> List.sort compare
     |> List.map (Filename.concat dir)
 
-(* Shard directories first (the write path), then legacy flat entries;
-   the quarantine directory is not a shard and is never walked. *)
-let entry_files t =
-  List.concat_map entry_files_in (shard_dirs t.cache_dir)
-  @ entry_files_in t.cache_dir
+(* Only shard directories hold entries; the quarantine directory is not
+   a shard and is never walked. *)
+let entry_files t = List.concat_map entry_files_in (shard_dirs t.cache_dir)
 
 type cache_stats = {
   entries : int;

@@ -22,8 +22,8 @@
     {2 Forked workers}
 
     The sink's file descriptor is opened in append mode and survives
-    {!Unix.fork}: worker processes ({!Ilv_engine.Pool}, portfolio race
-    legs) inherit it and their events land in the same trace, tagged
+    {!Unix.fork}: worker processes ({!Ilv_engine.Pool}) inherit it and
+    their events land in the same trace, tagged
     with their own [pid].  Every line is written and flushed as one
     buffered chunk, so concurrent appenders do not interleave
     mid-line.  In-memory counters, by contrast, are per-process: the

@@ -4,9 +4,9 @@
     shift-add multipliers, restoring dividers, barrel shifters,
     comparator chains, mux-tree memory reads and per-word writes — is
     used by two backends: the Tseitin bit-blaster ({!Bitblast},
-    algebra = solver literals) and the BDD compiler ({!Bdd_check},
-    algebra = BDD nodes).  Implementing it once keeps the backends
-    bit-for-bit aligned, which the cross-checking tests rely on. *)
+    algebra = solver literals) and the BDD image computation of
+    symbolic reachability ([Ilv_core.Reach], algebra = BDD nodes).
+    Implementing it once keeps the backends bit-for-bit aligned. *)
 
 open Ilv_expr
 

@@ -107,7 +107,7 @@ let () =
           | Checker.Unknown _ -> "unknown" ))
       results
   in
-  let r_conc, _ = Engine.run ~jobs:1 jobs in
+  let r_conc, _ = Engine.run ~jobs:1 ~memory_abstraction:false jobs in
   let cache_dir =
     Filename.concat
       (Filename.get_temp_dir_name ())

@@ -108,10 +108,39 @@ let gen_prop =
   pair assumptions goal >|= fun (assumptions, goal) ->
   mk_prop ~assumptions goal
 
-let arb_prop =
-  QCheck.make
-    ~print:(fun p -> Format.asprintf "%a" Property.pp p)
-    gen_prop
+(* [Property.pp] prints the display block, which [mk_prop] leaves
+   empty: show the formulas themselves *)
+let print_prop (p : Property.t) =
+  String.concat "\n"
+    (List.map (fun a -> "assume " ^ Pp_expr.to_string a) p.Property.assumptions
+    @ List.map
+        (fun (ob : Property.obligation) ->
+          "goal " ^ Pp_expr.to_string ob.Property.goal)
+        p.Property.obligations)
+
+let arb_prop = QCheck.make ~print:print_prop gen_prop
+
+(* Does the property (as built — [Build]'s smart constructors may have
+   folded the memory away, e.g. [m = m] or a forwarded
+   read-over-write) still mention a memory wider than the abstraction
+   window (12 slots by default)?  Only then must the checker take an
+   abstract rung. *)
+let mentions_wide_memory (p : Property.t) =
+  let wide e =
+    Expr.fold
+      (fun acc n ->
+        acc
+        ||
+        match Expr.sort n with
+        | Sort.Mem { addr_width; _ } -> 1 lsl addr_width > 12
+        | Sort.Bool | Sort.Bitvec _ -> false)
+      false e
+  in
+  List.exists wide p.Property.assumptions
+  || List.exists
+       (fun (ob : Property.obligation) ->
+         wide ob.Property.guard || wide ob.Property.goal)
+       p.Property.obligations
 
 let verdict_shape = function
   | Checker.Proved -> "proved"
@@ -155,16 +184,14 @@ let prop_tests =
          ~name:"abstract and concrete verdicts agree on random properties"
          ~count:150 arb_prop (fun p ->
            let concrete, _ = Checker.check p in
-           let abstract, _, rung = Mem_abstract.check_property p in
-           (* every generated property mentions the wide memory, so the
-              driver must actually take the abstract path *)
-           rung <> "fresh"
-           && verdict_shape concrete = verdict_shape abstract));
+           let abstract, _, rung = Verify.check_property p in
+           verdict_shape concrete = verdict_shape abstract
+           && ((not (mentions_wide_memory p)) || rung <> "fresh")));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"abstract counterexamples are genuine under replay" ~count:150
          arb_prop (fun p ->
-           match Mem_abstract.check_property p with
+           match Verify.check_property p with
            | Checker.Failed tr, _, _ -> genuine p tr
            | (Checker.Proved | Checker.Unknown _), _, _ ->
              QCheck.assume_fail ()));
@@ -188,17 +215,27 @@ let unit_tests =
         let p = mk_prop ~assumptions:[] goal in
         Alcotest.(check bool) "32 words abstract" true
           (Mem_abstract.create [ p ] <> None));
-    t "mode parsing round-trips" (fun () ->
-        List.iter
-          (fun mode ->
-            Alcotest.(check bool)
-              (Mem_abstract.mode_to_string mode ^ " round-trips")
-              true
-              (Mem_abstract.mode_of_string (Mem_abstract.mode_to_string mode)
-              = Some mode))
-          [ Mem_abstract.Auto; Mem_abstract.On; Mem_abstract.Off ];
-        Alcotest.(check bool) "junk rejected" true
-          (Mem_abstract.mode_of_string "sometimes" = None));
+    t "memory abstraction is on by default" (fun () ->
+        let p = mk_prop ~assumptions:[] (Build.eq (Expr.read ~mem:m ~addr:a) d) in
+        let _, _, rung = Verify.check_property p in
+        Alcotest.(check bool) ("default rung " ^ rung) true (rung <> "fresh");
+        let _, _, rung = Verify.check_property ~memory_abstraction:false p in
+        Alcotest.(check string) "concrete rung" "fresh" rung;
+        let sb =
+          Option.get (Ilv_designs.Catalog.find "Store Buffer (16 entries)")
+        in
+        let port = List.hd sb.Ilv_designs.Design.module_ila.Module_ila.ports in
+        let rtl = sb.Ilv_designs.Design.rtl in
+        let refmap = sb.Ilv_designs.Design.refmap_for rtl port.Ila.name in
+        let prepare ?memory_abstraction () =
+          Verify.prepare_port ?memory_abstraction ~name:"sb" ~port ~rtl
+            ~refmap ()
+        in
+        Alcotest.(check bool) "prepare_port abstracts" true
+          (Verify.prepared_abstraction (prepare ()) <> None);
+        Alcotest.(check bool) "unless asked not to" true
+          (Verify.prepared_abstraction (prepare ~memory_abstraction:false ())
+          = None));
   ]
 
 let suite =

@@ -1,6 +1,6 @@
-(* Tests for the BDD package and the BDD-based expression checker,
-   including cross-checks against the SAT backend over the shared
-   circuit lowering. *)
+(* Tests for the BDD package (the engine behind symbolic
+   reachability, [Ilv_core.Reach]), including cross-checks against
+   truth tables and the SAT backend on random formulas. *)
 
 open Ilv_expr
 open Ilv_sat
@@ -63,118 +63,127 @@ let bdd_tests =
         | None -> Alcotest.fail "expected sat");
   ]
 
-let check_tests =
-  [
-    t "bdd validity of a word-level identity" (fun () ->
-        let c = Bdd_check.create () in
-        let x = Build.bv_var "x" 6 and y = Build.bv_var "y" 6 in
-        Alcotest.(check bool) "x+y = y+x" true
-          (Bdd_check.valid c Build.(eq (x +: y) (y +: x)));
-        Alcotest.(check bool) "x+1 != x" true
-          (Bdd_check.valid c Build.(neq (add_int x 1) x));
-        Alcotest.(check bool) "x < y not valid" false
-          (Bdd_check.valid c Build.(x <: y)));
-    t "bdd model extraction" (fun () ->
-        let c = Bdd_check.create () in
-        let x = Build.bv_var "x" 8 in
-        match Bdd_check.check c [ Build.eq_int x 77 ] with
-        | Bdd_check.Unsat -> Alcotest.fail "expected sat"
-        | Bdd_check.Sat model ->
-          Alcotest.(check int) "x" 77 (Value.to_int (model "x" (Sort.bv 8))));
-    t "bdd memory reasoning" (fun () ->
-        let c = Bdd_check.create () in
-        let m = Build.mem_var "m" ~addr_width:2 ~data_width:4 in
-        let a = Build.bv_var "a" 2 and d = Build.bv_var "d" 4 in
-        Alcotest.(check bool) "read-over-write" true
-          (Bdd_check.valid c
-             Build.(eq (read (Expr.write ~mem:m ~addr:a ~data:d) a) d)));
-  ]
+(* Random propositional formulas over [n_vars] variables, lowered both
+   to a BDD and to a boolean expression for the SAT backend. *)
+type formula =
+  | V of int
+  | Not of formula
+  | And of formula * formula
+  | Or of formula * formula
+  | Xor of formula * formula
+  | Ite of formula * formula * formula
 
-(* Cross-check: the BDD and SAT backends must agree on random
-   formulas (they share the circuit lowering, so this mainly exercises
-   the two algebras and decision procedures). *)
+let n_vars = 5
+
+let rec to_bdd m = function
+  | V i -> Bdd.var m i
+  | Not a -> Bdd.neg m (to_bdd m a)
+  | And (a, b) -> Bdd.mk_and m (to_bdd m a) (to_bdd m b)
+  | Or (a, b) -> Bdd.mk_or m (to_bdd m a) (to_bdd m b)
+  | Xor (a, b) -> Bdd.mk_xor m (to_bdd m a) (to_bdd m b)
+  | Ite (c, a, b) -> Bdd.mk_ite m (to_bdd m c) (to_bdd m a) (to_bdd m b)
+
+let var_name i = Printf.sprintf "b%d" i
+
+let rec to_expr = function
+  | V i -> Build.bool_var (var_name i)
+  | Not a -> Expr.not_ (to_expr a)
+  | And (a, b) -> Expr.and_ (to_expr a) (to_expr b)
+  | Or (a, b) -> Expr.or_ (to_expr a) (to_expr b)
+  | Xor (a, b) -> Expr.xor_ (to_expr a) (to_expr b)
+  | Ite (c, a, b) -> Expr.ite (to_expr c) (to_expr a) (to_expr b)
+
+let rec eval env = function
+  | V i -> env i
+  | Not a -> not (eval env a)
+  | And (a, b) -> eval env a && eval env b
+  | Or (a, b) -> eval env a || eval env b
+  | Xor (a, b) -> eval env a <> eval env b
+  | Ite (c, a, b) -> if eval env c then eval env a else eval env b
+
+(* the BDD's value under a total assignment, by cofactoring every
+   variable away *)
+let bdd_value m f env =
+  let rec go v f =
+    if v = n_vars then Bdd.is_tt f else go (v + 1) (Bdd.restrict m v (env v) f)
+  in
+  go 0 f
+
+let assignments =
+  List.init (1 lsl n_vars) (fun bits i -> (bits lsr i) land 1 = 1)
+
 let arb_formula =
   let gen =
     QCheck.Gen.(
-      let bv_leaf =
-        oneof
-          [
-            return (Build.bv_var "x" 4);
-            return (Build.bv_var "y" 4);
-            (int_range 0 15 >|= fun n -> Build.bv ~width:4 n);
-          ]
-      in
-      let rec bv n =
-        if n = 0 then bv_leaf
-        else
-          oneof
-            [
-              bv_leaf;
-              (pair (bv (n - 1)) (bv (n - 1)) >|= fun (a, b) -> Expr.binop Expr.Bv_add a b);
-              (pair (bv (n - 1)) (bv (n - 1)) >|= fun (a, b) -> Expr.binop Expr.Bv_mul a b);
-              (pair (bv (n - 1)) (bv (n - 1)) >|= fun (a, b) -> Expr.binop Expr.Bv_xor a b);
-              (pair (bv (n - 1)) (bv (n - 1)) >|= fun (a, b) -> Expr.binop Expr.Bv_udiv a b);
-            ]
-      in
+      let leaf = int_range 0 (n_vars - 1) >|= fun i -> V i in
       let rec formula n =
-        if n = 0 then
-          oneof
-            [
-              (pair (bv 2) (bv 2) >|= fun (a, b) -> Expr.eq a b);
-              (pair (bv 2) (bv 2) >|= fun (a, b) -> Expr.cmp Expr.Bv_ult a b);
-            ]
+        if n = 0 then leaf
         else
-          oneof
+          let sub = formula (n - 1) in
+          frequency
             [
-              (pair (formula (n - 1)) (formula (n - 1)) >|= fun (a, b) ->
-               Expr.and_ a b);
-              (pair (formula (n - 1)) (formula (n - 1)) >|= fun (a, b) ->
-               Expr.or_ a b);
-              (formula (n - 1) >|= Expr.not_);
+              (1, leaf);
+              (1, sub >|= fun a -> Not a);
+              (2, pair sub sub >|= fun (a, b) -> And (a, b));
+              (2, pair sub sub >|= fun (a, b) -> Or (a, b));
+              (1, pair sub sub >|= fun (a, b) -> Xor (a, b));
+              (1, triple sub sub sub >|= fun (c, a, b) -> Ite (c, a, b));
             ]
       in
-      formula 3)
+      formula 4)
   in
-  QCheck.make ~print:Pp_expr.to_string gen
+  QCheck.make ~print:(fun f -> Pp_expr.to_string (to_expr f)) gen
 
 let cross_tests =
   [
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"BDD agrees with the truth table" ~count:200
+         arb_formula (fun f ->
+           let m = Bdd.manager () in
+           let b = to_bdd m f in
+           List.for_all (fun env -> bdd_value m b env = eval env f) assignments));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"BDD and SAT agree on satisfiability"
          ~count:200 arb_formula (fun f ->
-           let bdd_answer =
-             match Bdd_check.check (Bdd_check.create ()) [ f ] with
-             | Bdd_check.Unsat -> `Unsat
-             | Bdd_check.Sat _ -> `Sat
-           in
+           let bdd_sat = not (Bdd.is_ff (to_bdd (Bdd.manager ()) f)) in
            let ctx = Bitblast.create () in
-           Bitblast.assert_bool ctx f;
-           let sat_answer =
-             match Bitblast.check ctx with
-             | Bitblast.Unsat -> `Unsat
-             | Bitblast.Sat _ -> `Sat
-             | Bitblast.Unknown _ -> `Unknown
-           in
-           bdd_answer = sat_answer));
+           Bitblast.assert_bool ctx (to_expr f);
+           match Bitblast.check ctx with
+           | Bitblast.Unsat -> not bdd_sat
+           | Bitblast.Sat _ -> bdd_sat
+           | Bitblast.Unknown _ -> false));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"BDD models satisfy the formula" ~count:200
+      (QCheck.Test.make ~name:"BDD witnesses satisfy the formula" ~count:200
          arb_formula (fun f ->
-           let c = Bdd_check.create () in
-           match Bdd_check.check c [ f ] with
-           | Bdd_check.Unsat -> true
-           | Bdd_check.Sat model ->
-             let env =
-               Eval.env_of_list
-                 (List.map
-                    (fun (name, sort) -> (name, model name sort))
-                    (Expr.vars f))
+           match Bdd.any_sat (to_bdd (Bdd.manager ()) f) with
+           | None -> List.for_all (fun env -> not (eval env f)) assignments
+           | Some partial ->
+             (* unassigned variables are don't-cares: pin them false *)
+             let env i =
+               Option.value ~default:false (List.assoc_opt i partial)
              in
-             Eval.eval_bool env f));
+             let expr_env =
+               Eval.env_of_list
+                 (List.init n_vars (fun i ->
+                      (var_name i, Value.of_bool (env i))))
+             in
+             eval env f && Eval.eval_bool expr_env (to_expr f)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"quantifiers match Shannon expansion" ~count:200
+         QCheck.(pair arb_formula arb_formula)
+         (fun (f, g) ->
+           let m = Bdd.manager () in
+           let f = to_bdd m f and g = to_bdd m g in
+           List.for_all
+             (fun v ->
+               let lo = Bdd.restrict m v false f
+               and hi = Bdd.restrict m v true f in
+               Bdd.equal (Bdd.exists m [ v ] f) (Bdd.mk_or m lo hi)
+               && Bdd.equal (Bdd.forall m [ v ] f) (Bdd.mk_and m lo hi)
+               && Bdd.equal
+                    (Bdd.and_exists m [ v ] f g)
+                    (Bdd.exists m [ v ] (Bdd.mk_and m f g)))
+             (List.init n_vars Fun.id)));
   ]
 
-let suite =
-  [
-    ("bdd:core", bdd_tests);
-    ("bdd:check", check_tests);
-    ("bdd:cross", cross_tests);
-  ]
+let suite = [ ("bdd:core", bdd_tests); ("bdd:cross", cross_tests) ]

@@ -23,12 +23,19 @@ let fresh_dir =
 let design name =
   List.find (fun d -> d.Design.name = name) Catalog.all
 
-(* A freshly generated + prepared property (never solved on). *)
+(* The first port of a design, freshly prepared (never solved on), and
+   its first instruction. *)
 let prepared_of (d : Design.t) =
   let port = List.hd d.Design.module_ila.Module_ila.ports in
-  let instr = List.hd (Ila.leaf_instructions port) in
   let refmap = d.Design.refmap_for d.Design.rtl port.Ila.name in
-  Checker.prepare (Propgen.generate_for ~ila:port ~rtl:d.Design.rtl ~refmap instr)
+  let pr =
+    Verify.prepare_port ~name:d.Design.name ~port ~rtl:d.Design.rtl ~refmap ()
+  in
+  (pr, List.hd (Verify.prepared_instrs pr))
+
+let key_of (d : Design.t) =
+  let pr, instr = prepared_of d in
+  Option.get (Engine.obligation_key (Engine.port_of pr) instr)
 
 let jobs_of (d : Design.t) =
   Engine.jobs_of ~name:d.Design.name d.Design.module_ila d.Design.rtl
@@ -41,66 +48,61 @@ let jobs_of (d : Design.t) =
 
 let key_tests =
   [
-    t "key insensitive to clause and literal order" (fun () ->
+    t "frame digest insensitive to clause and literal order" (fun () ->
         let clauses = [ [ 1; -2; 3 ]; [ -1; 4 ]; [ 2; -3; -4 ]; [ 5 ] ] in
-        let hyps = [ [ 6 ]; [ 7; 8 ] ] in
-        let k = Proof_cache.key_of_cnf ~n_vars:8 ~clauses ~hyps () in
+        let d = Proof_cache.frame_digest (8, clauses) in
         let permuted =
           [ [ 5 ]; [ 2; -4; -3 ]; [ 3; 1; -2 ]; [ 4; -1 ] ]
         in
         Alcotest.(check string)
-          "permuted CNF keys equal" k
-          (Proof_cache.key_of_cnf ~n_vars:8 ~clauses:permuted ~hyps ());
+          "permuted CNF digests equal" d
+          (Proof_cache.frame_digest (8, permuted));
         (* ...but not to the actual content *)
         let changed = [ [ 1; -2; 3 ]; [ -1; 4 ]; [ 2; -3; 4 ]; [ 5 ] ] in
         Alcotest.(check bool)
-          "flipped literal changes the key" true
-          (k <> Proof_cache.key_of_cnf ~n_vars:8 ~clauses:changed ~hyps ());
-        Alcotest.(check bool)
-          "different selectors change the key" true
-          (k <> Proof_cache.key_of_cnf ~n_vars:8 ~clauses ~hyps:[ [ 6 ] ] ()));
+          "flipped literal changes the digest" true
+          (d <> Proof_cache.frame_digest (8, changed)));
     t "key insensitive to selector-list order and duplicates (regression)"
       (fun () ->
-        (* Pre-fix, [key_of_cnf] hashed the selector lists exactly as
-           given while canonicalizing the clauses: the same proof
-           problem with its obligations enumerated in a different order
+        (* Pre-fix, keys hashed the selector lists exactly as given
+           while canonicalizing the clauses: the same proof problem
+           with its obligations enumerated in a different order
            silently missed the cache. *)
-        let clauses = [ [ 1; -2 ]; [ 2; 3 ] ] in
-        let k =
-          Proof_cache.key_of_cnf ~n_vars:8 ~clauses ~hyps:[ [ 6; 7 ]; [ 8 ] ] ()
-        in
+        let frame = Proof_cache.frame_digest (8, [ [ 1; -2 ]; [ 2; 3 ] ]) in
+        let key selectors = Proof_cache.key_of_shared ~frame ~selectors () in
+        let k = key [ [ 6; 7 ]; [ 8 ] ] in
         Alcotest.(check string)
           "permuted selector lists keys equal" k
-          (Proof_cache.key_of_cnf ~n_vars:8 ~clauses
-             ~hyps:[ [ 8 ]; [ 7; 6 ] ] ());
+          (key [ [ 8 ]; [ 7; 6 ] ]);
         Alcotest.(check string)
           "duplicated selector literal keys equal" k
-          (Proof_cache.key_of_cnf ~n_vars:8 ~clauses
-             ~hyps:[ [ 6; 7; 6 ]; [ 8 ] ] ());
+          (key [ [ 6; 7; 6 ]; [ 8 ] ]);
         Alcotest.(check bool)
           "different selector content still changes the key" true
+          (k <> key [ [ 6; 7 ]; [ 7 ] ]);
+        Alcotest.(check bool)
+          "the encoding mode tag changes the key" true
           (k
-          <> Proof_cache.key_of_cnf ~n_vars:8 ~clauses
-               ~hyps:[ [ 6; 7 ]; [ 7 ] ] ()));
-    t "key stable across independent property regenerations" (fun () ->
+          <> Proof_cache.key_of_shared ~mode:"abstract" ~frame
+               ~selectors:[ [ 6; 7 ]; [ 8 ] ] ()));
+    t "key stable across independent port preparations" (fun () ->
         let d = design "AXI Slave" in
-        let k1 = Proof_cache.key_of_prepared (prepared_of d) in
-        let k2 = Proof_cache.key_of_prepared (prepared_of d) in
-        Alcotest.(check string) "same property, same key" k1 k2);
-    t "solving mutates the context CNF (why the engine snapshots keys)"
-      (fun () ->
-        (* Regression guard for a real bug: learned clauses appended by
-           the solver leak into [Checker.cnf], so a key taken after
-           solving never matches a fresh run's lookup.  If this ever
-           stops holding the snapshot in [Engine.run_one] is merely
-           redundant; if it holds, it is load-bearing. *)
+        Alcotest.(check string) "same obligation, same key" (key_of d)
+          (key_of d));
+    t "solving does not move an obligation's key" (fun () ->
+        (* The key comes from the frozen generation-0 snapshot, never
+           from the live solver, which accumulates learnt clauses and
+           retire units as it solves. *)
         let d = design "AXI Slave" in
-        let pr = prepared_of d in
-        let k_before = Proof_cache.key_of_prepared pr in
-        let _ = Checker.check_prepared pr in
-        let k_fresh = Proof_cache.key_of_prepared (prepared_of d) in
-        Alcotest.(check string)
-          "pre-solve key matches a fresh preparation" k_before k_fresh);
+        let pr, instr = prepared_of d in
+        let port = Engine.port_of pr in
+        let k_before = Engine.obligation_key port instr in
+        let _ = Verify.check_port_instr pr instr in
+        Alcotest.(check (option string))
+          "key after solving" k_before
+          (Engine.obligation_key port instr);
+        Alcotest.(check (option string))
+          "matches a fresh preparation" k_before (Some (key_of d)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -108,11 +110,10 @@ let key_tests =
 (* ------------------------------------------------------------------ *)
 
 let entry_of (d : Design.t) =
-  let pr = prepared_of d in
-  let n_vars, clauses = Checker.cnf pr in
-  let hyps = Checker.hypothesis_literals pr in
-  let key = Proof_cache.key_of_cnf ~n_vars ~clauses ~hyps () in
-  let verdict, stats = Checker.check_prepared pr in
+  let pr, instr = prepared_of d in
+  let key = Option.get (Engine.obligation_key (Engine.port_of pr) instr) in
+  let verdict, stats, _ = Verify.check_port_instr pr instr in
+  let sh = Verify.prepared_shared pr in
   {
     Proof_cache.key;
     engine_version = Proof_cache.version;
@@ -120,8 +121,8 @@ let entry_of (d : Design.t) =
     instr = "test";
     verdict;
     stats;
-    cnf = Proof_cache.canonical_cnf (n_vars, clauses);
-    hyps;
+    cnf = Proof_cache.canonical_cnf (Checker.shared_cnf sh);
+    hyps = Checker.shared_frame_selectors sh 0;
     created_s = 0.0;
   }
 
@@ -134,6 +135,14 @@ let sharded_path dir key =
   Filename.concat
     (Filename.concat dir (Proof_cache.shard_of key))
     (key ^ ".proof")
+
+(* A raw (non-entry) file where the cache would file [key]. *)
+let write_raw dir key contents =
+  let shard = Filename.concat dir (Proof_cache.shard_of key) in
+  (try Unix.mkdir shard 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let oc = open_out_bin (sharded_path dir key) in
+  output_string oc contents;
+  close_out oc
 
 let cache_tests =
   [
@@ -175,9 +184,7 @@ let cache_tests =
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in
         let key = String.make 32 'a' in
-        let oc = open_out_bin (Filename.concat dir (key ^ ".proof")) in
-        output_string oc "not a proof cache entry at all";
-        close_out oc;
+        write_raw dir key "not a proof cache entry at all";
         Alcotest.(check bool)
           "garbage misses" true
           (Proof_cache.lookup cache key = None);
@@ -216,11 +223,7 @@ let cache_tests =
             Proof_cache.key = String.make 32 'b';
             engine_version = "some-other-engine/9";
           };
-        let oc =
-          open_out_bin (Filename.concat dir (String.make 32 'c' ^ ".proof"))
-        in
-        output_string oc "definitely not a proof cache entry";
-        close_out oc;
+        write_raw dir (String.make 32 'c') "definitely not a proof cache entry";
         let s = Proof_cache.stats cache in
         Alcotest.(check int) "usable entries" 1 s.Proof_cache.entries;
         Alcotest.(check int) "stale" 1 s.Proof_cache.stale;
@@ -282,24 +285,26 @@ let cache_tests =
         Alcotest.(check (list string))
           "the late-sorting rotted entry is caught" [ "zz-rotted" ]
           v.Proof_cache.mismatched);
-    t "legacy flat-layout entries are still found" (fun () ->
+    t "root-level flat-layout files are never read" (fun () ->
+        (* entries live only in shard directories: a file directly
+           under the root (the pre-sharding layout, which predates the
+           current engine version) is neither served nor counted *)
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in
         let e = stored_entry (design "AXI Slave") cache in
-        (* demote the entry to the pre-sharding layout: directly under
-           the cache root, as an older ilaverif would have written it *)
         Sys.rename
           (sharded_path dir e.Proof_cache.key)
           (Filename.concat dir (e.Proof_cache.key ^ ".proof"));
-        (match Proof_cache.lookup cache e.Proof_cache.key with
-        | Some got ->
-          Alcotest.(check bool)
-            "legacy entry verdict" true
-            (got.Proof_cache.verdict = Checker.Proved)
-        | None -> Alcotest.fail "legacy flat entry must still hit");
-        Alcotest.(check int)
-          "stats walks the flat layout too" 1
-          (Proof_cache.stats cache).entries);
+        Alcotest.(check bool)
+          "root entry misses" true
+          (Proof_cache.lookup cache e.Proof_cache.key = None);
+        let s = Proof_cache.stats cache in
+        Alcotest.(check int) "not counted" 0 s.Proof_cache.entries;
+        Alcotest.(check int) "not stale either" 0 s.Proof_cache.stale;
+        Proof_cache.store cache e;
+        Alcotest.(check bool)
+          "a fresh store hits again" true
+          (Proof_cache.lookup cache e.Proof_cache.key <> None));
     t "lock retry schedule is positive, capped, and deterministic" (fun () ->
         List.iter
           (fun attempt ->
@@ -506,16 +511,18 @@ let pool_tests =
 (* End-to-end engine runs                                              *)
 (* ------------------------------------------------------------------ *)
 
+let verdict_shape = function
+  | Checker.Proved -> "proved"
+  | Checker.Failed _ -> "failed"
+  | Checker.Unknown _ -> "unknown"
+
 let summary_verdicts results =
   List.map
     (fun (r : Engine.result) ->
       ( r.Engine.job_id,
         r.Engine.r_port,
         r.Engine.r_instr,
-        match r.Engine.verdict with
-        | Checker.Proved -> "proved"
-        | Checker.Failed _ -> "failed"
-        | Checker.Unknown _ -> "unknown" ))
+        verdict_shape r.Engine.verdict ))
     results
 
 let engine_tests =
@@ -581,20 +588,54 @@ let count_substring hay needle =
 
 let incremental_tests =
   [
-    t "fresh and incremental modes agree verdict-for-verdict" (fun () ->
+    t "engine and fresh reference path agree verdict-for-verdict" (fun () ->
         let d = design "AXI Slave" in
         let ri, si = Engine.run ~jobs:1 (jobs_of d) in
-        let rf, sf = Engine.run ~jobs:1 ~incremental:false (jobs_of d) in
-        Alcotest.(check bool)
-          "same verdicts, same order" true
-          (summary_verdicts ri = summary_verdicts rf);
-        Alcotest.(check int) "all proved (incr)" si.Engine.n_jobs
-          si.Engine.n_proved;
-        Alcotest.(check int) "all proved (fresh)" sf.Engine.n_jobs
-          sf.Engine.n_proved);
+        let reference =
+          Design.verify ~incremental:false ~stop_at_first_failure:false d
+        in
+        let fresh =
+          List.concat_map
+            (fun (p : Verify.port_report) -> p.Verify.instr_results)
+            reference.Verify.ports
+        in
+        Alcotest.(check (list (pair string string)))
+          "same verdicts, same order"
+          (List.map
+             (fun (ir : Verify.instr_result) ->
+               (ir.Verify.instr, verdict_shape ir.Verify.verdict))
+             fresh)
+          (List.map
+             (fun (r : Engine.result) ->
+               (r.Engine.r_instr, verdict_shape r.Engine.verdict))
+             ri);
+        Alcotest.(check int) "all proved" si.Engine.n_jobs si.Engine.n_proved);
+    t "engine backends carry the rungs of Verify.run" (fun () ->
+        let d = Option.get (Catalog.find "Store Buffer (16 entries)") in
+        let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
+        let cold, _ = Engine.run ~jobs:1 ~cache (jobs_of d) in
+        let reference = Design.verify ~stop_at_first_failure:false d in
+        Alcotest.(check (list (pair string string)))
+          "same rung per obligation"
+          (List.concat_map
+             (fun (p : Verify.port_report) ->
+               List.map
+                 (fun (ir : Verify.instr_result) ->
+                   (ir.Verify.instr, ir.Verify.rung))
+                 p.Verify.instr_results)
+             reference.Verify.ports)
+          (List.map
+             (fun (r : Engine.result) -> (r.Engine.r_instr, r.Engine.backend))
+             cold);
+        let warm, _ = Engine.run ~jobs:1 ~cache (jobs_of d) in
+        List.iter
+          (fun (r : Engine.result) ->
+            Alcotest.(check string) r.Engine.r_instr "cache" r.Engine.backend)
+          warm;
+        ignore (Proof_cache.clear cache));
     t "persistent workers: a 2-worker sweep forks at most 2 processes"
       (fun () ->
-        (* The whole point of per-design shared solving is that workers
+        (* The whole point of per-port shared solving is that workers
            persist: one fork per worker, jobs streamed against the
            shared context — not one fork per job.  Count the pool's
            spawn events through the trace sink. *)
@@ -631,36 +672,32 @@ let incremental_tests =
           (Printf.sprintf "%d spawns for %d jobs" spawns s.Engine.n_jobs)
           true
           (spawns >= 1 && spawns <= 2));
-    t "incremental and fresh cache entries never alias (regression)"
+    t "abstract and concrete cache entries never alias (regression)"
       (fun () ->
-        (* Incremental keys hash the shared frame + activation
-           selectors, fresh keys hash the per-property CNF; a key
-           scheme that let them collide would serve a verdict computed
-           against a different formula.  Both directions must miss. *)
-        let d = design "AXI Slave" in
+        (* Abstract keys carry a mode tag: a verdict established on the
+           window encoding must never serve the concrete encoding's
+           lookup, nor the other way round.  Both directions must miss,
+           and each encoding warm-hits its own entries. *)
+        let d = Option.get (Catalog.find "Store Buffer (16 entries)") in
         let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
-        let rf, sf =
-          Engine.run ~jobs:1 ~incremental:false ~cache (jobs_of d)
+        let run memory_abstraction =
+          Engine.run ~jobs:1 ~cache ~memory_abstraction (jobs_of d)
         in
-        Alcotest.(check int) "fresh cold run misses all" sf.Engine.n_jobs
-          sf.Engine.cache_misses;
-        let ri, si = Engine.run ~jobs:1 ~cache (jobs_of d) in
-        Alcotest.(check int) "incremental run sees no fresh-mode entry" 0
-          si.Engine.cache_hits;
-        Alcotest.(check int) "it solves everything itself" si.Engine.n_jobs
-          si.Engine.cache_misses;
-        (* each mode warm-hits its own entries *)
-        let _, sf2 =
-          Engine.run ~jobs:1 ~incremental:false ~cache (jobs_of d)
-        in
-        let _, si2 = Engine.run ~jobs:1 ~cache (jobs_of d) in
-        Alcotest.(check int) "fresh warm run all hits" sf2.Engine.n_jobs
-          sf2.Engine.cache_hits;
-        Alcotest.(check int) "incremental warm run all hits" si2.Engine.n_jobs
-          si2.Engine.cache_hits;
+        let rc, sc = run false in
+        Alcotest.(check int) "concrete cold run misses all" sc.Engine.n_jobs
+          sc.Engine.cache_misses;
+        let ra, sa = run true in
+        Alcotest.(check int) "abstract run sees no concrete entry" 0
+          sa.Engine.cache_hits;
+        let _, sc2 = run false in
+        let _, sa2 = run true in
+        Alcotest.(check int) "concrete warm run all hits" sc2.Engine.n_jobs
+          sc2.Engine.cache_hits;
+        Alcotest.(check int) "abstract warm run all hits" sa2.Engine.n_jobs
+          sa2.Engine.cache_hits;
         Alcotest.(check bool)
-          "modes agree on verdicts" true
-          (summary_verdicts rf = summary_verdicts ri);
+          "encodings agree on verdicts" true
+          (summary_verdicts rc = summary_verdicts ra);
         ignore (Proof_cache.clear cache));
   ]
 

@@ -44,6 +44,18 @@ let port_properties (d : Design.t) =
     (fun i -> Propgen.generate_for ~ila:port ~rtl:d.Design.rtl ~refmap i)
     (Ila.leaf_instructions port)
 
+let verdict_shapes results =
+  List.map
+    (fun (r : Engine.result) ->
+      ( r.Engine.job_id,
+        r.Engine.r_port,
+        r.Engine.r_instr,
+        match r.Engine.verdict with
+        | Checker.Proved -> "proved"
+        | Checker.Failed _ -> "failed"
+        | Checker.Unknown _ -> "unknown" ))
+    results
+
 (* ------------------------------------------------------------------ *)
 (* Backoff schedule                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -120,10 +132,6 @@ let timeout_reason_tests =
         Alcotest.(check bool)
           "per-call wall budget message" false
           (Checker.is_deadline_reason "timeout: deadline exceeded (0.5s)");
-        Alcotest.(check bool)
-          "deprecated alias agrees" false
-          (Checker.is_timeout_reason
-             "solver: timeout: wall budget exceeded (10s)");
         Alcotest.(check bool)
           "real deadline reason matches" true
           (Checker.is_deadline_reason
@@ -212,6 +220,39 @@ let ladder_tests =
               (Ilv_obs.Inject.fired ~point:"solver.stall" > 0);
             Alcotest.(check bool) "verdict preserved" true
               (v = Checker.Proved)));
+    t "stall-demoted engine jobs report their rung and count as degraded"
+      (fun () ->
+        let d = design "AXI Slave" in
+        let baseline, _ = Engine.run ~jobs:1 (jobs_of d) in
+        let scratch = fresh_dir () in
+        Ilv_obs.Inject.configure ~seed:11 ~dir:scratch
+          ~points:[ ("solver.stall", 1.0) ]
+          ();
+        Fun.protect
+          ~finally:(fun () ->
+            Ilv_obs.Inject.disable ();
+            rm_rf scratch)
+          (fun () ->
+            let results, summary = Engine.run ~jobs:1 (jobs_of d) in
+            let demoted =
+              List.filter
+                (fun (r : Engine.result) -> r.Engine.backend <> "incremental")
+                results
+            in
+            Alcotest.(check bool) "some job demoted" true (demoted <> []);
+            List.iter
+              (fun (r : Engine.result) ->
+                Alcotest.(check bool)
+                  (r.Engine.r_instr ^ " rung " ^ r.Engine.backend)
+                  true
+                  (List.mem r.Engine.backend [ "fresh"; "tightened"; "degraded" ]))
+              demoted;
+            Alcotest.(check int)
+              "n_degraded counts the demoted jobs" (List.length demoted)
+              summary.Engine.n_degraded;
+            Alcotest.(check bool)
+              "verdicts preserved" true
+              (verdict_shapes baseline = verdict_shapes results)));
     t "a deadline unknown does not descend the ladder" (fun () ->
         let sh =
           Checker.prepare_shared ~label:"ladder-timeout"
@@ -275,24 +316,20 @@ let inject_tests =
 (* Crash-safe cache recovery                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* entries live in two-character shard subdirectories (plus, for
-   legacy layouts, the root); quarantine/ and tmp files are excluded
-   by the name-length filter and the .proof suffix *)
+(* entries live in two-character shard subdirectories; quarantine/
+   and tmp files are excluded by the name-length filter and the .proof
+   suffix *)
 let entry_paths dir =
   let files_in d =
     match Sys.readdir d with
     | fs -> Array.to_list fs |> List.map (Filename.concat d)
     | exception Sys_error _ -> []
   in
-  let top = files_in dir in
-  let shards =
-    List.filter
-      (fun d ->
-        String.length (Filename.basename d) = 2
-        && try Sys.is_directory d with Sys_error _ -> false)
-      top
-  in
-  List.concat_map files_in shards @ top
+  files_in dir
+  |> List.filter (fun d ->
+         String.length (Filename.basename d) = 2
+         && try Sys.is_directory d with Sys_error _ -> false)
+  |> List.concat_map files_in
   |> List.filter (fun f -> Filename.check_suffix f ".proof")
   |> List.sort compare
 
@@ -378,18 +415,6 @@ let recovery_tests =
 (* ------------------------------------------------------------------ *)
 (* Chaos: kills mid-sweep keep verdicts deterministic                  *)
 (* ------------------------------------------------------------------ *)
-
-let verdict_shapes results =
-  List.map
-    (fun (r : Engine.result) ->
-      ( r.Engine.job_id,
-        r.Engine.r_port,
-        r.Engine.r_instr,
-        match r.Engine.verdict with
-        | Checker.Proved -> "proved"
-        | Checker.Failed _ -> "failed"
-        | Checker.Unknown _ -> "unknown" ))
-    results
 
 let chaos_tests =
   [
