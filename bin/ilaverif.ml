@@ -9,7 +9,7 @@
      verify DESIGN [--bug L]     refinement-check a design (or a buggy variant)
      cache stats|clear|verify    manage the persistent proof cache
      chaos [DESIGN..]            seeded fault-injection campaign on the engine
-     profile TRACE               aggregate a --trace-out JSONL trace
+     profile TRACE               aggregate the last run of a --trace-out trace
      bugs                        reproduce the paper's three bug hunts *)
 
 open Cmdliner
@@ -114,7 +114,8 @@ let trace_out_arg =
         ~doc:
           "Append a structured JSONL trace of the run (spans, events, \
            counters) to $(docv).  Worker processes write to the same file; \
-           aggregate it afterwards with the $(b,profile) subcommand.")
+           every line carries the run's id, and the $(b,profile) \
+           subcommand aggregates the last run.")
 
 let metrics_flag =
   Arg.(
@@ -1166,8 +1167,8 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Aggregate a --trace-out JSONL trace into a per-instruction / \
-          per-backend effort table")
+         "Aggregate the last run of a --trace-out JSONL trace into a \
+          per-instruction / per-backend effort table")
     Term.(const run $ file_arg)
 
 (* ---- bugs ---- *)

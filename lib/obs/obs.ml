@@ -12,7 +12,7 @@ let now_s () =
 
 (* ---- global state ---- *)
 
-type sink = { oc : out_channel; t0 : float }
+type sink = { oc : out_channel; t0 : float; run : string }
 
 let sink : sink option ref = ref None
 let metrics_on = ref false
@@ -25,6 +25,10 @@ let open_spans : (int, string * float * int option) Hashtbl.t =
   Hashtbl.create 16
 
 let enabled () = !sink <> None || !metrics_on
+
+(* start time of the last run id handed out, so that two runs of one
+   process never share an id *)
+let last_start = ref 0.0
 
 (* ---- JSON emission ---- *)
 
@@ -69,12 +73,14 @@ let add_field b (k, v) =
 let emit_line ~ev ~name ?span ?parent ?dur_s fields =
   match !sink with
   | None -> ()
-  | Some { oc; t0 } -> (
+  | Some { oc; t0; run } -> (
     let b = Buffer.create 192 in
     Buffer.add_string b "{\"ts\":";
     add_float b (now_s () -. t0);
     Buffer.add_string b ",\"pid\":";
     Buffer.add_string b (string_of_int (Unix.getpid ()));
+    Buffer.add_string b ",\"run\":";
+    add_json_string b run;
     Buffer.add_string b ",\"ev\":";
     add_json_string b ev;
     Buffer.add_string b ",\"name\":";
@@ -130,9 +136,14 @@ let configure ?trace_out ?(metrics = false) () =
         let oc =
           open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
         in
-        { oc; t0 = now_s () })
+        let start = Float.max (Unix.gettimeofday ()) (!last_start +. 1e-6) in
+        last_start := start;
+        let run = Printf.sprintf "%d@%.6f" (Unix.getpid ()) start in
+        { oc; t0 = now_s (); run })
       trace_out;
   metrics_on := metrics;
+  (* counters restart with each run, like the run id on its lines *)
+  Hashtbl.reset counter_tbl;
   if (enabled ()) && not !at_exit_registered then begin
     at_exit_registered := true;
     at_exit shutdown

@@ -12,11 +12,15 @@
     {2 Trace format}
 
     One JSON object per line.  Common keys: [ts] (seconds since
-    {!configure}, monotonic), [pid], [ev] (["event"], ["span_begin"],
-    ["span_end"] or ["counter"]) and [name].  Span lines carry [span]
-    (the span id) and [parent] (enclosing span id, if any);
+    {!configure}, monotonic), [pid], [run], [ev] (["event"],
+    ["span_begin"], ["span_end"] or ["counter"]) and [name].  [run]
+    identifies the run: the configuring process's pid and start time
+    (["pid@epoch_s"]), inherited by forked workers.  The sink appends,
+    so one file can hold several runs; {!Profile} keeps them apart.  Span lines carry [span] (the span id) and [parent]
+    (enclosing span id, if any);
     ["span_end"] also carries [dur_s].  Counter lines carry [add] (the
-    increment) and [total] (the cumulative value in this process).
+    increment) and [total] (the cumulative value in this process since
+    {!configure}).
     User fields are flattened into the same object.
 
     {2 Forked workers}
@@ -37,7 +41,8 @@ val configure : ?trace_out:string -> ?metrics:bool -> unit -> unit
 (** Opens the JSONL sink at [trace_out] (append; created if missing)
     and/or enables the in-memory metrics aggregation.  Registers an
     [at_exit] hook that flushes the sink and, with [metrics], prints
-    the counter summary to stderr.  Calling it again reconfigures. *)
+    the counter summary to stderr.  Calling it again reconfigures and
+    starts a new run: counters restart from zero. *)
 
 val shutdown : unit -> unit
 (** Flushes and closes the sink, prints the metrics summary if enabled,
@@ -77,7 +82,8 @@ val count : string -> int -> unit
     increment and the new per-process total. *)
 
 val counters : unit -> (string * int) list
-(** The in-memory counter totals of this process, sorted by name. *)
+(** The in-memory counter totals of this process since the last
+    {!configure}, sorted by name. *)
 
 val pp_metrics : Format.formatter -> unit -> unit
 (** Renders {!counters} as the [--metrics] summary block. *)

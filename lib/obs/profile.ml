@@ -29,6 +29,8 @@ type disposition = {
 }
 
 type t = {
+  run : string option;
+  runs : string list;
   lines : int;
   rows : row list;
   backends : (string * (int * float)) list;
@@ -48,7 +50,30 @@ let int_of key json = Option.bind (Json.member key json) Json.to_int
 let interesting name = name = "engine.job" || name = "verify.instr"
 let frame_span = "checker.prepare_shared"
 
+(* lines written before run ids existed carry none; they form one run *)
+let run_of line = str ~default:"" "run" line
+
+let runs_of lines =
+  let seen = Hashtbl.create 4 in
+  List.fold_left
+    (fun acc line ->
+      let r = run_of line in
+      if Hashtbl.mem seen r then acc
+      else begin
+        Hashtbl.add seen r ();
+        r :: acc
+      end)
+    [] lines
+  |> List.rev
+
 let of_trace lines =
+  let runs = runs_of lines in
+  let run = List.fold_left (fun _ r -> Some r) None runs (* the last *) in
+  let lines =
+    match run with
+    | Some r -> List.filter (fun line -> run_of line = r) lines
+    | None -> []
+  in
   let rows : (string * string * string * string * string, int * float)
       Hashtbl.t =
     Hashtbl.create 64
@@ -141,7 +166,7 @@ let of_trace lines =
         in
         Hashtbl.replace rows key (n + 1, time +. dur)
       | "span_end" when name = "engine.run" ->
-        (* the last run span wins; traces usually hold one *)
+        (* the last engine span of the run wins; a run usually has one *)
         run_wall := fl "dur_s" line
       | "event" when name = "pool.crash" -> (
         (* idle-worker deaths carry no job and join no disposition *)
@@ -195,7 +220,10 @@ let of_trace lines =
       in
       Hashtbl.replace backends r.backend (n + r.n, time +. r.time_s))
     rows;
+  let named r = if r = "" then None else Some r in
   {
+    run = Option.bind run named;
+    runs = List.filter_map named runs;
     lines = List.length lines;
     rows;
     backends =
@@ -230,6 +258,12 @@ let pp fmt p =
   let open Format in
   fprintf fmt "@[<v>trace: %d lines, %d instruction rows" p.lines
     (List.length p.rows);
+  (match p.run with
+  | Some r ->
+    let n = List.length p.runs in
+    fprintf fmt ", run %s" r;
+    if n > 1 then fprintf fmt " (the last of %d runs in the file)" n
+  | None -> ());
   (match p.run_wall_s with
   | Some w ->
     fprintf fmt ", engine wall %.3fs (instruction spans cover %.3fs)" w

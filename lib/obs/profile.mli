@@ -1,7 +1,8 @@
 (** Aggregation of a JSONL trace into the per-instruction /
     per-backend effort table behind [ilaverif profile].
 
-    Works on the span and counter lines {!Obs} emits: every
+    Works on the span and counter lines {!Obs} emits for one run
+    (see {!of_trace}): every
     ["engine.job"] or ["verify.instr"] span becomes one observation of
     (design, port, instruction, backend, verdict, duration), summed
     into rows; ["counter"] lines are summed per name across all
@@ -49,7 +50,11 @@ type disposition = {
 }
 
 type t = {
-  lines : int;  (** trace lines consumed *)
+  run : string option;
+      (** the run aggregated (the lines' [run] field); [None] for a
+          trace written before lines carried run ids *)
+  runs : string list;  (** every run id in the trace, oldest first *)
+  lines : int;  (** trace lines of the run consumed *)
   rows : row list;  (** sorted by descending time *)
   backends : (string * (int * float)) list;  (** per-backend jobs/time *)
   frames : frame list;  (** per-design shared-frame sizes, sorted by name *)
@@ -61,6 +66,11 @@ type t = {
 }
 
 val of_trace : Json.t list -> t
+(** Aggregates the lines of the run that started last (whose first
+    line comes last).  A trace file is appended to, so it may hold
+    several runs; summing them would mix their rows and counters with
+    one run's wall clock.  Lines without a run id (traces from before
+    ids existed) count as one run. *)
 
 val of_file : string -> (t, string) result
 (** Reads and parses the JSONL file; [Error] carries a message naming

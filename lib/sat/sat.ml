@@ -1,23 +1,73 @@
 (* CDCL solver.  Internal literal encoding: lit = 2*var for the positive
    literal, 2*var+1 for the negative one ("negated if odd"), so arrays
-   can be indexed by literal directly.  External literals are ±var. *)
+   can be indexed by literal directly.  External literals are ±var.
 
-type clause = {
-  lits : int array; (* internal encoding; lits.(0), lits.(1) are watched *)
-  learnt : bool;
-  activation : bool; (* activation-literal guard, not problem structure *)
-  mutable activity : float;
-  mutable deleted : bool;
-}
+   The search allocates nothing and writes no pointer into the heap:
+
+   - Clauses live in one growable [int array], the arena.  A clause
+     reference ("cref") is the offset of the clause's header word,
+     which packs the size with the learnt, activation and deleted bits.
+     The next word is the clause number, an index into the unboxed
+     [cla_act] activities; the literals follow inline, the first two
+     being the watched ones.  Deleted clauses stay in place until
+     their words exceed half the arena, when [compact] rebuilds it.
+   - Watch lists are per-literal int vectors of crefs, [reason] holds a
+     cref or -1, and [assign] is indexed by literal.
+
+   Every ordering the search depends on (watch lists, the clause and
+   learnt lists, literal order inside clauses) is the one a cons-list
+   layout gives, with a vector's last element as the list head, so
+   conflicts, decisions and propagations match that layout's search
+   exactly (the test [designs:search-pin] holds them).  See
+   [propagate] for how a watch visit keeps that order. *)
+
+type vec = { mutable data : int array; mutable size : int }
+
+let vec_create () = { data = [||]; size = 0 }
+
+let vec_push v x =
+  let n = v.size in
+  if n = Array.length v.data then begin
+    let d = Array.make (max 4 (2 * n)) 0 in
+    Array.blit v.data 0 d 0 n;
+    v.data <- d
+  end;
+  v.data.(n) <- x;
+  v.size <- n + 1
+
+(* reverses a.(lo .. hi-1) in place *)
+let reverse (a : int array) lo hi =
+  let i = ref lo and j = ref (hi - 1) in
+  while !i < !j do
+    let x = a.(!i) in
+    a.(!i) <- a.(!j);
+    a.(!j) <- x;
+    incr i;
+    decr j
+  done
+
+(* clause header bits; the size sits above them *)
+let learnt_bit = 1
+let activation_bit = 2
+let deleted_bit = 4
+let size_shift = 3
+
+(* an all-float record is stored unboxed, so bumping never allocates *)
+type increments = { mutable var_inc : float; mutable cla_inc : float }
 
 type t = {
   mutable n_vars : int;
-  mutable clauses : clause list; (* problem clauses *)
-  mutable learnts : clause list;
-  mutable watches : clause list array; (* indexed by internal literal *)
-  mutable assign : int array; (* per var: 0 undef / 1 true / 2 false *)
+  mutable arena : int array;
+  mutable arena_top : int; (* first free word *)
+  mutable wasted : int; (* words held by deleted clauses *)
+  mutable cla_act : float array; (* by clause number *)
+  mutable n_numbered : int; (* next clause number *)
+  clauses : vec; (* problem clauses, oldest first *)
+  learnts : vec; (* oldest first *)
+  mutable watches : vec array; (* indexed by internal literal *)
+  mutable assign : int array; (* per literal: 0 undef / 1 true / 2 false *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array; (* per var: cref, or -1 *)
   mutable activity : float array;
   mutable phase : bool array; (* saved polarity *)
   mutable heap : int array; (* binary max-heap of vars *)
@@ -28,11 +78,11 @@ type t = {
   mutable trail_lim : int array; (* start of each decision level *)
   mutable trail_lim_size : int;
   mutable qhead : int;
-  mutable var_inc : float;
-  mutable cla_inc : float;
+  inc : increments;
   mutable unsat : bool; (* top-level conflict detected *)
   mutable solved : result option;
   mutable seen : bool array; (* scratch for analyze *)
+  learnt_buf : vec; (* the clause [analyze] derives *)
   (* statistics *)
   mutable n_clauses : int;
   mutable n_activation : int; (* activation clauses among n_clauses *)
@@ -48,16 +98,22 @@ and result = Sat | Unsat
 
 let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
+let initial_arena = 256
 
 let create () =
   {
     n_vars = 0;
-    clauses = [];
-    learnts = [];
-    watches = Array.make 16 [];
-    assign = Array.make 8 0;
+    arena = Array.make initial_arena 0;
+    arena_top = 0;
+    wasted = 0;
+    cla_act = Array.make 16 0.0;
+    n_numbered = 0;
+    clauses = vec_create ();
+    learnts = vec_create ();
+    watches = Array.init 16 (fun _ -> vec_create ());
+    assign = Array.make 16 0;
     level = Array.make 8 0;
-    reason = Array.make 8 None;
+    reason = Array.make 8 (-1);
     activity = Array.make 8 0.0;
     phase = Array.make 8 false;
     heap = Array.make 8 0;
@@ -68,11 +124,11 @@ let create () =
     trail_lim = Array.make 8 0;
     trail_lim_size = 0;
     qhead = 0;
-    var_inc = 1.0;
-    cla_inc = 1.0;
+    inc = { var_inc = 1.0; cla_inc = 1.0 };
     unsat = false;
     solved = None;
     seen = Array.make 8 false;
+    learnt_buf = { data = Array.make 16 0; size = 0 };
     n_clauses = 0;
     n_activation = 0;
     n_learnts = 0;
@@ -86,7 +142,7 @@ let create () =
 (* literal helpers *)
 let pos v = 2 * v
 let neg_of l = l lxor 1
-let var_of l = l / 2
+let var_of l = l lsr 1
 let is_neg l = l land 1 = 1
 
 let internal_of_ext s l =
@@ -108,9 +164,9 @@ let new_var s =
   let v = s.n_vars + 1 in
   s.n_vars <- v;
   let n = v + 1 in
-  s.assign <- grow_array s.assign n 0;
+  s.assign <- grow_array s.assign (2 * n) 0;
   s.level <- grow_array s.level n 0;
-  s.reason <- grow_array s.reason n None;
+  s.reason <- grow_array s.reason n (-1);
   s.activity <- grow_array s.activity n 0.0;
   s.phase <- grow_array s.phase n false;
   s.heap <- grow_array s.heap n 0;
@@ -118,7 +174,12 @@ let new_var s =
   s.trail <- grow_array s.trail n 0;
   s.trail_lim <- grow_array s.trail_lim n 0;
   s.seen <- grow_array s.seen n false;
-  s.watches <- grow_array s.watches (2 * n + 2) [];
+  let len = Array.length s.watches in
+  if 2 * n > len then
+    s.watches <-
+      Array.init
+        (max (2 * n) (2 * len))
+        (fun l -> if l < len then s.watches.(l) else vec_create ());
   (* insert into the order heap *)
   s.heap.(s.heap_size) <- v;
   s.heap_pos.(v) <- s.heap_size;
@@ -132,9 +193,92 @@ let num_activation_clauses s = s.n_activation
 let num_problem_clauses s = s.n_clauses - s.n_activation
 
 (* value of an internal literal: 0 undef / 1 true / 2 false *)
-let lit_value s l =
-  let a = s.assign.(var_of l) in
-  if a = 0 then 0 else if is_neg l then 3 - a else a
+let lit_value s l = s.assign.(l)
+
+(* --- clause arena --- *)
+
+let clause_size s c = s.arena.(c) lsr size_shift
+let is_deleted s c = s.arena.(c) land deleted_bit <> 0
+let is_learnt s c = s.arena.(c) land learnt_bit <> 0
+let is_activation s c = s.arena.(c) land activation_bit <> 0
+let clause_activity s c = s.cla_act.(s.arena.(c + 1))
+
+(* appends a clause of [n] literals taken from [lits] and returns its cref *)
+let alloc_clause s ~flags (lits : int array) n activity =
+  let top = s.arena_top + 2 + n in
+  if top > Array.length s.arena then begin
+    let a = Array.make (max top (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 s.arena_top;
+    s.arena <- a
+  end;
+  let c = s.arena_top and k = s.n_numbered in
+  if k = Array.length s.cla_act then begin
+    let a = Array.make (2 * k) 0.0 in
+    Array.blit s.cla_act 0 a 0 k;
+    s.cla_act <- a
+  end;
+  s.cla_act.(k) <- activity;
+  s.n_numbered <- k + 1;
+  s.arena.(c) <- (n lsl size_shift) lor flags;
+  s.arena.(c + 1) <- k;
+  Array.blit lits 0 s.arena (c + 2) n;
+  s.arena_top <- top;
+  c
+
+let mark_deleted s c =
+  s.arena.(c) <- s.arena.(c) lor deleted_bit;
+  s.wasted <- s.wasted + 2 + clause_size s c
+
+(* Rebuilds the arena without deleted clauses, in the same order, and
+   renumbers the survivors.  The old arena's number word then holds the
+   forwarding cref (-1 for a deleted clause), through which watches,
+   reasons and the clause lists are remapped; relative order in every
+   list is kept, so the search cannot tell a compaction happened. *)
+let compact s =
+  let old = s.arena and top = s.arena_top in
+  let arena = Array.make (max initial_arena (2 * (top - s.wasted))) 0 in
+  let act = s.cla_act in
+  let c = ref 0 and dst = ref 0 and k = ref 0 in
+  while !c < top do
+    let hdr = old.(!c) in
+    let len = 2 + (hdr lsr size_shift) in
+    if hdr land deleted_bit = 0 then begin
+      Array.blit old !c arena !dst len;
+      arena.(!dst + 1) <- !k;
+      (* numbers follow arena order, so [!k] never passes the old one *)
+      act.(!k) <- act.(old.(!c + 1));
+      old.(!c + 1) <- !dst;
+      dst := !dst + len;
+      incr k
+    end
+    else old.(!c + 1) <- -1;
+    c := !c + len
+  done;
+  let remap v =
+    let j = ref 0 in
+    for i = 0 to v.size - 1 do
+      let c' = old.(v.data.(i) + 1) in
+      if c' >= 0 then begin
+        v.data.(!j) <- c';
+        incr j
+      end
+    done;
+    v.size <- !j
+  in
+  Array.iter remap s.watches;
+  remap s.clauses;
+  remap s.learnts;
+  for v = 1 to s.n_vars do
+    let r = s.reason.(v) in
+    if r >= 0 then s.reason.(v) <- old.(r + 1)
+  done;
+  s.arena <- arena;
+  s.arena_top <- !dst;
+  s.wasted <- 0;
+  s.n_numbered <- !k;
+  if Ilv_obs.Obs.enabled () then Ilv_obs.Obs.count "sat.compactions" 1
+
+let maybe_compact s = if 2 * s.wasted > s.arena_top then compact s
 
 (* --- order heap (max-heap on activity) --- *)
 
@@ -191,14 +335,14 @@ let rescale_var_activity s =
   for v = 1 to s.n_vars do
     s.activity.(v) <- s.activity.(v) *. 1e-100
   done;
-  s.var_inc <- s.var_inc *. 1e-100
+  s.inc.var_inc <- s.inc.var_inc *. 1e-100
 
 let bump_var s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
+  s.activity.(v) <- s.activity.(v) +. s.inc.var_inc;
   if s.activity.(v) > 1e100 then rescale_var_activity s;
   if s.heap_pos.(v) >= 0 then sift_up s s.heap_pos.(v)
 
-let decay_var_activity s = s.var_inc <- s.var_inc *. var_decay
+let decay_var_activity s = s.inc.var_inc <- s.inc.var_inc *. var_decay
 
 (* Between incremental queries: raise the increment so the next query's
    conflict bumps dwarf activity accumulated by earlier (retired)
@@ -207,17 +351,24 @@ let decay_var_activity s = s.var_inc <- s.var_inc *. var_decay
    hot frame variable re-earns its rank in a few conflicts.  The
    rescale guard keeps repeated aging from overflowing. *)
 let age_activity s =
-  s.var_inc <- s.var_inc *. 1e20;
-  if s.var_inc > 1e100 then rescale_var_activity s
+  s.inc.var_inc <- s.inc.var_inc *. 1e20;
+  if s.inc.var_inc > 1e100 then rescale_var_activity s
 
-let bump_clause s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    List.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
-    s.cla_inc <- s.cla_inc *. 1e-20
+(* Any clause may be bumped, but only learnt activities are rescaled:
+   problem clauses never compete in [reduce_db]. *)
+let bump_clause s c =
+  let act = s.cla_act and k = s.arena.(c + 1) in
+  act.(k) <- act.(k) +. s.inc.cla_inc;
+  if act.(k) > 1e20 then begin
+    let l = s.learnts in
+    for i = 0 to l.size - 1 do
+      let k = s.arena.(l.data.(i) + 1) in
+      act.(k) <- act.(k) *. 1e-20
+    done;
+    s.inc.cla_inc <- s.inc.cla_inc *. 1e-20
   end
 
-let decay_clause_activity s = s.cla_inc <- s.cla_inc *. cla_decay
+let decay_clause_activity s = s.inc.cla_inc <- s.inc.cla_inc *. cla_decay
 
 (* --- assignment --- *)
 
@@ -225,8 +376,9 @@ let decision_level s = s.trail_lim_size
 
 let enqueue s l reason =
   let v = var_of l in
-  s.assign.(v) <- (if is_neg l then 2 else 1);
-  s.level.(v) <- decision_level s;
+  s.assign.(l) <- 1;
+  s.assign.(neg_of l) <- 2;
+  s.level.(v) <- s.trail_lim_size;
   s.reason.(v) <- reason;
   s.phase.(v) <- not (is_neg l);
   s.trail.(s.trail_size) <- l;
@@ -236,10 +388,11 @@ let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = s.trail_lim.(lvl) in
     for i = s.trail_size - 1 downto bound do
-      let v = var_of s.trail.(i) in
-      s.assign.(v) <- 0;
-      s.reason.(v) <- None;
-      heap_insert s v
+      let l = s.trail.(i) in
+      s.assign.(l) <- 0;
+      s.assign.(neg_of l) <- 0;
+      s.reason.(var_of l) <- -1;
+      heap_insert s (var_of l)
     done;
     s.trail_size <- bound;
     s.qhead <- bound;
@@ -248,69 +401,93 @@ let cancel_until s lvl =
 
 (* --- propagation --- *)
 
-exception Conflict of clause
+(* unchecked accesses for [propagate], whose indices the arena
+   invariants bound: crefs point at headers below [arena_top], literals
+   index [assign], and watch positions stay within the vector *)
+let[@inline] iget (a : int array) i = Array.unsafe_get a i
+let[@inline] iset (a : int array) i x = Array.unsafe_set a i x
 
 let attach s c =
-  s.watches.(neg_of c.lits.(0)) <- c :: s.watches.(neg_of c.lits.(0));
-  s.watches.(neg_of c.lits.(1)) <- c :: s.watches.(neg_of c.lits.(1))
+  vec_push s.watches.(neg_of s.arena.(c + 2)) c;
+  vec_push s.watches.(neg_of s.arena.(c + 3)) c
 
-(* Propagate all enqueued facts; raises [Conflict] on a falsified
-   clause.  Clauses are stored in [watches.(l)] when the *falsification*
-   of one of their watched literals should trigger a visit, i.e. clause
-   c sits in watches.(neg c.lits.(0)) and watches.(neg c.lits.(1)). *)
+(* Propagates all enqueued facts and returns the falsified clause's
+   cref, or -1.  A clause sits in [watches.(l)] when the falsification
+   of one of its watched literals should trigger a visit, i.e. clause c
+   is in watches.(neg lit0) and watches.(neg lit1).
+
+   Watch order is that of a list whose head is the vector's last
+   element: a visit runs from the top down, and each kept watcher is
+   packed downward from the top, so after the visit the kept block
+   sits above the unvisited rest (empty unless a conflict stopped the
+   visit).  Blitting the block onto the rest and reversing the whole
+   prefix yields exactly [kept_in_visit_order @ rev rest] read from the
+   bottom, the list [rev_append rest (rev kept)].  New watchers are
+   pushed on top, the head.  The visited list itself never grows while
+   it is visited: a new watch literal is never false, so it never
+   files the clause under [p]. *)
 let propagate s =
-  while s.qhead < s.trail_size do
+  let confl = ref (-1) in
+  let arena = s.arena and assign = s.assign in
+  while !confl < 0 && s.qhead < s.trail_size do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
-    let watching = s.watches.(p) in
-    s.watches.(p) <- [];
-    let rec go = function
-      | [] -> ()
-      | c :: rest when c.deleted -> go rest
-      | c :: rest ->
-        (* make sure the false literal (neg p) is at position 1 *)
-        let false_lit = neg_of p in
-        if c.lits.(0) = false_lit then begin
-          c.lits.(0) <- c.lits.(1);
-          c.lits.(1) <- false_lit
+    let ws = s.watches.(p) in
+    let data = ws.data and n = ws.size in
+    let false_lit = neg_of p in
+    let i = ref (n - 1) and j = ref (n - 1) and rest = ref 0 in
+    while !i >= 0 do
+      let c = iget data !i in
+      decr i;
+      let hdr = iget arena c in
+      if hdr land deleted_bit = 0 then begin
+        (* make sure the false literal is at position 1 *)
+        let l0 = c + 2 in
+        if iget arena l0 = false_lit then begin
+          iset arena l0 (iget arena (l0 + 1));
+          iset arena (l0 + 1) false_lit
         end;
-        if lit_value s c.lits.(0) = 1 then begin
+        if iget assign (iget arena l0) = 1 then begin
           (* satisfied; keep watching *)
-          s.watches.(p) <- c :: s.watches.(p);
-          go rest
+          iset data !j c;
+          decr j
         end
         else begin
           (* look for a new literal to watch *)
-          let n = Array.length c.lits in
-          let rec find i =
-            if i >= n then None
-            else if lit_value s c.lits.(i) <> 2 then Some i
-            else find (i + 1)
-          in
-          match find 2 with
-          | Some i ->
-            c.lits.(1) <- c.lits.(i);
-            c.lits.(i) <- false_lit;
-            s.watches.(neg_of c.lits.(1)) <- c :: s.watches.(neg_of c.lits.(1));
-            go rest
-          | None ->
+          let stop = l0 + (hdr lsr size_shift) in
+          let k = ref (l0 + 2) in
+          while !k < stop && iget assign (iget arena !k) = 2 do
+            incr k
+          done;
+          if !k < stop then begin
+            let w = iget arena !k in
+            iset arena (l0 + 1) w;
+            iset arena !k false_lit;
+            vec_push s.watches.(neg_of w) c
+          end
+          else begin
             (* unit or conflicting *)
-            s.watches.(p) <- c :: s.watches.(p);
-            if lit_value s c.lits.(0) = 2 then begin
-              (* conflict: restore remaining watchers before raising *)
-              s.watches.(p) <- List.rev_append rest s.watches.(p);
+            iset data !j c;
+            decr j;
+            if iget assign (iget arena l0) = 2 then begin
+              confl := c;
               s.qhead <- s.trail_size;
-              raise (Conflict c)
+              (* leave the unvisited rest [0, i] in place *)
+              rest := !i + 1;
+              i := -1
             end
-            else begin
-              enqueue s c.lits.(0) (Some c);
-              go rest
-            end
+            else enqueue s (iget arena l0) c
+          end
         end
-    in
-    go watching
-  done
+      end
+    done;
+    let kept = n - 1 - !j in
+    Array.blit data (!j + 1) data !rest kept;
+    reverse data 0 (!rest + kept);
+    ws.size <- !rest + kept
+  done;
+  !confl
 
 (* --- clause addition (level 0 only) --- *)
 
@@ -330,21 +507,14 @@ let add_clause ?(activation = false) s ext_lits =
       let lits = List.filter (fun l -> lit_value s l <> 2) lits in
       match lits with
       | [] -> s.unsat <- true
-      | [ l ] -> begin
-        enqueue s l None;
-        try propagate s with Conflict _ -> s.unsat <- true
-      end
+      | [ l ] ->
+        enqueue s l (-1);
+        if propagate s >= 0 then s.unsat <- true
       | _ ->
-        let c =
-          {
-            lits = Array.of_list lits;
-            learnt = false;
-            activation;
-            activity = 0.0;
-            deleted = false;
-          }
-        in
-        s.clauses <- c :: s.clauses;
+        let lits = Array.of_list lits in
+        let flags = if activation then activation_bit else 0 in
+        let c = alloc_clause s ~flags lits (Array.length lits) 0.0 in
+        vec_push s.clauses c;
         s.n_clauses <- s.n_clauses + 1;
         if activation then s.n_activation <- s.n_activation + 1;
         attach s c
@@ -353,13 +523,30 @@ let add_clause ?(activation = false) s ext_lits =
 
 (* --- level-0 simplification --- *)
 
+(* Visits [v] from the top (the list head) down and replaces each entry
+   [c] by [f c], dropping it when that is -1; the survivors keep their
+   relative order.  [f] must not push onto [v]. *)
+let filter_vec v f =
+  let n = v.size in
+  let j = ref n in
+  for i = n - 1 downto 0 do
+    let c = f v.data.(i) in
+    if c >= 0 then begin
+      decr j;
+      v.data.(!j) <- c
+    end
+  done;
+  Array.blit v.data !j v.data 0 (n - !j);
+  v.size <- n - !j
+
 (* SatELite-lite: runs only at decision level 0.  Unit propagation to
    fixpoint, removal of satisfied clauses, stripping of false literals
    (rebuilding the clause so the watch invariant holds), then duplicate
    elimination and light backward subsumption over the problem clauses.
    Deleting a clause that is the reason of a level-0 assignment is safe:
    conflict analysis never dereferences level-0 reasons, and level 0 is
-   never backtracked; reasons are cleared anyway for hygiene.
+   never backtracked; reasons are cleared anyway, so that compaction
+   never has to forward them.
    [~subsume:false] skips the quadratic-ish dedup/subsumption stage and
    keeps only the linear propagation passes — cheap enough to run
    between incremental queries, where its job is shedding clauses
@@ -369,90 +556,102 @@ let simplify ?(subsume = true) s =
   s.solved <- None;
   let before = s.n_clauses + s.n_learnts in
   let delete c =
-    c.deleted <- true;
-    if c.learnt then s.n_learnts <- s.n_learnts - 1
+    if is_learnt s c then s.n_learnts <- s.n_learnts - 1
     else begin
       s.n_clauses <- s.n_clauses - 1;
-      if c.activation then s.n_activation <- s.n_activation - 1
-    end
+      if is_activation s c then s.n_activation <- s.n_activation - 1
+    end;
+    mark_deleted s c
   in
   let count_in c =
-    if c.learnt then s.n_learnts <- s.n_learnts + 1
+    if is_learnt s c then s.n_learnts <- s.n_learnts + 1
     else begin
       s.n_clauses <- s.n_clauses + 1;
-      if c.activation then s.n_activation <- s.n_activation + 1
+      if is_activation s c then s.n_activation <- s.n_activation + 1
     end
   in
   if not s.unsat then begin
-    (try propagate s with Conflict _ -> s.unsat <- true);
+    if propagate s >= 0 then s.unsat <- true;
     (* satisfied-clause removal + false-literal stripping, repeated
        until strengthening stops producing new level-0 units *)
     let changed = ref (not s.unsat) in
     while !changed do
       changed := false;
-      let strengthen kept c =
-        if s.unsat || c.deleted then kept
-        else if Array.exists (fun l -> lit_value s l = 1) c.lits then begin
-          delete c;
-          kept
-        end
+      let strengthen c =
+        if s.unsat || is_deleted s c then -1
         else begin
-          let live =
-            List.filter
-              (fun l -> lit_value s l <> 2)
-              (Array.to_list c.lits)
-          in
-          if List.length live = Array.length c.lits then c :: kept
+          let n = clause_size s c in
+          let satisfied = ref false and live = ref 0 in
+          for i = c + 2 to c + 1 + n do
+            match lit_value s s.arena.(i) with
+            | 1 -> satisfied := true
+            | 2 -> ()
+            | _ -> incr live
+          done;
+          if !satisfied then begin
+            delete c;
+            -1
+          end
+          else if !live = n then c
           else begin
+            let flags = s.arena.(c) land (learnt_bit lor activation_bit) in
+            let lits = Array.make !live 0 and k = ref 0 in
+            for i = c + 2 to c + 1 + n do
+              if lit_value s s.arena.(i) <> 2 then begin
+                lits.(!k) <- s.arena.(i);
+                incr k
+              end
+            done;
             delete c;
             changed := true;
-            match live with
-            | [] ->
+            match !live with
+            | 0 ->
               s.unsat <- true;
-              kept
-            | [ l ] ->
-              enqueue s l None;
-              (try propagate s with Conflict _ -> s.unsat <- true);
-              kept
+              -1
+            | 1 ->
+              enqueue s lits.(0) (-1);
+              if propagate s >= 0 then s.unsat <- true;
+              -1
             | _ ->
-              let c' = { c with lits = Array.of_list live; deleted = false } in
+              let c' = alloc_clause s ~flags lits !live (clause_activity s c) in
               count_in c';
               attach s c';
-              c' :: kept
+              c'
           end
         end
       in
-      s.clauses <- List.rev (List.fold_left strengthen [] s.clauses);
-      s.learnts <- List.rev (List.fold_left strengthen [] s.learnts)
+      filter_vec s.clauses strengthen;
+      filter_vec s.learnts strengthen
     done;
-    (* level-0 reasons are never inspected again; drop the pointers so
-       deleted clauses can be collected *)
+    (* level-0 reasons are never inspected again; drop them *)
     let level0_bound =
       if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
     in
     for i = 0 to level0_bound - 1 do
-      s.reason.(var_of s.trail.(i)) <- None
+      s.reason.(var_of s.trail.(i)) <- -1
     done;
     if subsume && not s.unsat then begin
       (* duplicate elimination + backward subsumption (problem clauses
          only; subsumers capped at 8 literals to bound the scan) *)
       let canon c =
-        let a = Array.copy c.lits in
+        let a = Array.sub s.arena (c + 2) (clause_size s c) in
         Array.sort compare a;
         a
       in
-      let keyed =
-        List.filter_map
-          (fun c -> if c.deleted then None else Some (c, canon c))
-          s.clauses
-      in
+      (* newest first, as the clause list has always been scanned *)
+      let keyed = ref [] in
+      for i = 0 to s.clauses.size - 1 do
+        let c = s.clauses.data.(i) in
+        if not (is_deleted s c) then keyed := (c, canon c) :: !keyed
+      done;
+      let keyed = !keyed in
       let tbl = Hashtbl.create (max 16 (List.length keyed)) in
       List.iter
         (fun (c, k) ->
           let key = Array.to_list k in
           if Hashtbl.mem tbl key then delete c else Hashtbl.add tbl key ())
         keyed;
-      let keyed = List.filter (fun (c, _) -> not c.deleted) keyed in
+      let keyed = List.filter (fun (c, _) -> not (is_deleted s c)) keyed in
       let occ = Array.make ((2 * s.n_vars) + 2) [] in
       List.iter
         (fun ck -> Array.iter (fun l -> occ.(l) <- ck :: occ.(l)) (snd ck))
@@ -471,7 +670,7 @@ let simplify ?(subsume = true) s =
       in
       List.iter
         (fun (c, k) ->
-          if (not c.deleted) && Array.length k <= 8 then begin
+          if (not (is_deleted s c)) && Array.length k <= 8 then begin
             let rarest = ref k.(0) in
             Array.iter
               (fun l ->
@@ -481,132 +680,140 @@ let simplify ?(subsume = true) s =
             List.iter
               (fun (d, kd) ->
                 if
-                  d != c
-                  && (not d.deleted)
+                  d <> c
+                  && (not (is_deleted s d))
                   && Array.length kd > Array.length k
                   && subset k kd
                 then delete d)
               occ.(!rarest)
           end)
         keyed
-    end
+    end;
+    maybe_compact s
   end;
   max 0 (before - (s.n_clauses + s.n_learnts))
 
 (* --- conflict analysis (first UIP) --- *)
 
+(* Derives the first-UIP clause of conflict [confl] into [learnt_buf]
+   and returns the backtrack level.  The asserting literal comes first,
+   then the lower-level literals, latest found first. *)
 let analyze s confl =
-  let learnt = ref [] in
-  let seen = s.seen in
-  let counter = ref 0 in
-  let p = ref (-1) in
-  let first = ref true in
-  let bt_level = ref 0 in
-  let c = ref confl in
+  let arena = s.arena and seen = s.seen and level = s.level in
+  let buf = s.learnt_buf in
+  (* slot 0 is kept for the asserting literal *)
+  buf.size <- 1;
+  let counter = ref 0 and bt_level = ref 0 in
+  let c = ref confl and start = ref 0 in
   let index = ref (s.trail_size - 1) in
-  let continue = ref true in
-  while !continue do
+  let uip = ref (-1) in
+  while !uip < 0 do
     bump_clause s !c;
-    let lits = !c.lits in
-    (* skip lits.(0) on subsequent rounds: it is the literal we just
+    let base = !c + 2 in
+    (* past the first round, skip lit 0: it is the literal just
        resolved on (the reason clause's propagated literal) *)
-    let start = if !first then 0 else 1 in
-    first := false;
-    for i = start to Array.length lits - 1 do
-      let q = lits.(i) in
+    for i = base + !start to base + clause_size s !c - 1 do
+      let q = arena.(i) in
       let v = var_of q in
-      if (not seen.(v)) && s.level.(v) > 0 then begin
+      if (not seen.(v)) && level.(v) > 0 then begin
         seen.(v) <- true;
         bump_var s v;
-        if s.level.(v) >= decision_level s then incr counter
+        if level.(v) >= decision_level s then incr counter
         else begin
-          learnt := q :: !learnt;
-          if s.level.(v) > !bt_level then bt_level := s.level.(v)
+          vec_push buf q;
+          if level.(v) > !bt_level then bt_level := level.(v)
         end
       end
     done;
+    start := 1;
     (* find the next literal on the trail that is marked *)
-    let rec next_marked i =
-      if seen.(var_of s.trail.(i)) then i else next_marked (i - 1)
-    in
-    index := next_marked !index;
+    while not seen.(var_of s.trail.(!index)) do
+      decr index
+    done;
     let q = s.trail.(!index) in
     let v = var_of q in
     seen.(v) <- false;
     decr counter;
-    index := !index - 1;
-    if !counter = 0 then begin
-      p := q;
-      continue := false
-    end
+    decr index;
+    if !counter = 0 then uip := q
     else begin
-      match s.reason.(v) with
-      | Some r ->
-        (* orient so that lits.(0) is q, skipped in the next round *)
-        if r.lits.(0) <> q then begin
-          let j = ref 0 in
-          Array.iteri (fun i l -> if l = q then j := i) r.lits;
-          r.lits.(!j) <- r.lits.(0);
-          r.lits.(0) <- q
-        end;
-        c := r
-      | None -> assert false (* decision variables end the loop via counter *)
+      (* decision variables end the loop via counter *)
+      let r = s.reason.(v) in
+      assert (r >= 0);
+      (* orient so that lit 0 is q, skipped in the next round *)
+      let base = r + 2 in
+      if arena.(base) <> q then begin
+        let j = ref 0 in
+        for i = 0 to clause_size s r - 1 do
+          if arena.(base + i) = q then j := i
+        done;
+        arena.(base + !j) <- arena.(base);
+        arena.(base) <- q
+      end;
+      c := r
     end
   done;
-  let learnt_lits = neg_of !p :: !learnt in
-  List.iter (fun l -> seen.(var_of l) <- false) !learnt;
-  (Array.of_list learnt_lits, !bt_level)
+  reverse buf.data 1 buf.size;
+  buf.data.(0) <- neg_of !uip;
+  for i = 1 to buf.size - 1 do
+    seen.(var_of buf.data.(i)) <- false
+  done;
+  !bt_level
 
-let record_learnt s lits =
-  s.learnt_literals <- s.learnt_literals + Array.length lits;
-  if Array.length lits = 1 then enqueue s lits.(0) None
+(* Adds the clause in [learnt_buf] and asserts its first literal. *)
+let record_learnt s =
+  let lits = s.learnt_buf.data and n = s.learnt_buf.size in
+  s.learnt_literals <- s.learnt_literals + n;
+  if n = 1 then enqueue s lits.(0) (-1)
   else begin
     (* watch the asserting literal and one literal from the backtrack
-       level (position of max level among lits.(1..)) *)
+       level (position of max level among lits 1..) *)
     let maxi = ref 1 in
-    for i = 2 to Array.length lits - 1 do
+    for i = 2 to n - 1 do
       if s.level.(var_of lits.(i)) > s.level.(var_of lits.(!maxi)) then
         maxi := i
     done;
     let tmp = lits.(1) in
     lits.(1) <- lits.(!maxi);
     lits.(!maxi) <- tmp;
-    let c =
-      { lits; learnt = true; activation = false; activity = 0.0; deleted = false }
-    in
-    s.learnts <- c :: s.learnts;
+    let c = alloc_clause s ~flags:learnt_bit lits n 0.0 in
+    vec_push s.learnts c;
     s.n_learnts <- s.n_learnts + 1;
     bump_clause s c;
     attach s c;
-    enqueue s lits.(0) (Some c)
+    enqueue s lits.(0) c
   end
 
 (* --- learnt clause DB reduction --- *)
 
 let locked s c =
   (* a clause that is the reason of a current assignment must stay *)
-  lit_value s c.lits.(0) = 1
-  && (match s.reason.(var_of c.lits.(0)) with
-     | Some r -> r == c
-     | None -> false)
+  let l = s.arena.(c + 2) in
+  lit_value s l = 1 && s.reason.(var_of l) = c
 
 let reduce_db s =
-  let arr = Array.of_list s.learnts in
-  Array.sort (fun (a : clause) (b : clause) -> compare a.activity b.activity) arr;
-  let n = Array.length arr in
+  let l = s.learnts in
+  let n = l.size in
+  (* newest first: the order the (unstable) sort has always been fed *)
+  let arr = Array.init n (fun i -> l.data.(n - 1 - i)) in
+  Array.sort
+    (fun a b -> Float.compare (clause_activity s a) (clause_activity s b))
+    arr;
   let kill = ref (n / 2) in
   Array.iteri
     (fun i c ->
-      if i < n / 2 && !kill > 0 && (not (locked s c)) && Array.length c.lits > 2
+      if i < n / 2 && !kill > 0 && (not (locked s c)) && clause_size s c > 2
       then begin
-        c.deleted <- true;
+        mark_deleted s c;
         decr kill
       end)
     arr;
-  s.learnts <- List.filter (fun c -> not c.deleted) s.learnts;
-  s.n_learnts <- List.length s.learnts
-(* deleted clauses are skipped lazily and dropped from watch lists
-   during propagation *)
+  filter_vec l (fun c -> if is_deleted s c then -1 else c);
+  s.n_learnts <- l.size;
+  if Ilv_obs.Obs.enabled () then Ilv_obs.Obs.count "sat.reductions" 1;
+  (* watchers of deleted clauses are dropped lazily during propagation,
+     or all at once by a compaction *)
+  maybe_compact s
 
 (* --- search --- *)
 
@@ -629,7 +836,7 @@ let pick_branch_var s =
     if s.heap_size = 0 then 0
     else begin
       let v = heap_pop s in
-      if s.assign.(v) = 0 then v else go ()
+      if s.assign.(pos v) = 0 then v else go ()
     end
   in
   go ()
@@ -724,93 +931,82 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
   in
   let result =
     if s.unsat then Result Unsat
+    else if propagate s >= 0 then begin
+      (* a level-0 conflict (pending units): latch it *)
+      s.unsat <- true;
+      Result Unsat
+    end
     else begin
-      try
-        propagate s;
-        let restart_count = ref 0 in
-        let answer = ref None in
-        let new_level () =
-          s.trail_lim.(s.trail_lim_size) <- s.trail_size;
-          s.trail_lim_size <- s.trail_lim_size + 1
-        in
-        while !answer = None do
-          let conflict_budget = 64 * luby !restart_count in
-          incr restart_count;
-          let conflicts_here = ref 0 in
-          (try
-             while !answer = None && !conflicts_here < conflict_budget do
-               (match exhausted () with
-               | Some reason -> answer := Some (Unknown reason)
-               | None -> ());
-               if !answer <> None then ()
-               else
-               match
-                 (try
-                    propagate s;
-                    None
-                  with Conflict c -> Some c)
-               with
-               | Some confl ->
-                 s.conflicts <- s.conflicts + 1;
-                 incr conflicts_here;
-                 if decision_level s = 0 then begin
-                   (* conflict below every decision: unconditionally
-                      unsatisfiable.  Latch it — the propagation queue
-                      is already past the falsified clause, so without
-                      the flag a later solve on this solver would never
-                      revisit it and could answer a bogus [Sat]. *)
-                   s.unsat <- true;
-                   answer := Some (Result Unsat)
-                 end
-                 else if decision_level s <= Array.length assumption_lits
-                 then
-                   (* the conflict depends only on assumptions *)
-                   answer := Some (Result Unsat)
-                 else begin
-                   let learnt, bt = analyze s confl in
-                   (* backjumps may undo assumption levels; the decision
-                      loop re-establishes them *)
-                   cancel_until s bt;
-                   record_learnt s learnt;
-                   decay_var_activity s;
-                   decay_clause_activity s;
-                   if s.n_learnts > 4000 + (2 * s.n_clauses) then
-                     reduce_db s
-                 end
-               | None ->
-                 if decision_level s < Array.length assumption_lits then begin
-                   let l = assumption_lits.(decision_level s) in
-                   match lit_value s l with
-                   | 1 -> new_level () (* already holds: placeholder level *)
-                   | 2 -> answer := Some (Result Unsat)
-                   | _ ->
-                     new_level ();
-                     enqueue s l None
-                 end
-                 else begin
-                   let v = pick_branch_var s in
-                   if v = 0 then answer := Some (Result Sat)
-                   else begin
-                     s.decisions <- s.decisions + 1;
-                     new_level ();
-                     let l = if s.phase.(v) then pos v else pos v + 1 in
-                     enqueue s l None
-                   end
-                 end
-             done
-           with Conflict _ -> assert false);
-          if !answer = None then begin
-            (* restart, keeping the assumption prefix *)
-            s.restarts <- s.restarts + 1;
-            cancel_until s (min (decision_level s) (Array.length assumption_lits))
+      let restart_count = ref 0 in
+      let answer = ref None in
+      let new_level () =
+        s.trail_lim.(s.trail_lim_size) <- s.trail_size;
+        s.trail_lim_size <- s.trail_lim_size + 1
+      in
+      while Option.is_none !answer do
+        let conflict_budget = 64 * luby !restart_count in
+        incr restart_count;
+        let conflicts_here = ref 0 in
+        while Option.is_none !answer && !conflicts_here < conflict_budget do
+          (match exhausted () with
+          | Some reason -> answer := Some (Unknown reason)
+          | None -> ());
+          if Option.is_none !answer then begin
+            let confl = propagate s in
+            if confl >= 0 then begin
+              s.conflicts <- s.conflicts + 1;
+              incr conflicts_here;
+              if decision_level s = 0 then begin
+                (* conflict below every decision: unconditionally
+                   unsatisfiable.  Latch it — the propagation queue
+                   is already past the falsified clause, so without
+                   the flag a later solve on this solver would never
+                   revisit it and could answer a bogus [Sat]. *)
+                s.unsat <- true;
+                answer := Some (Result Unsat)
+              end
+              else if decision_level s <= Array.length assumption_lits then
+                (* the conflict depends only on assumptions *)
+                answer := Some (Result Unsat)
+              else begin
+                let bt = analyze s confl in
+                (* backjumps may undo assumption levels; the decision
+                   loop re-establishes them *)
+                cancel_until s bt;
+                record_learnt s;
+                decay_var_activity s;
+                decay_clause_activity s;
+                if s.n_learnts > 4000 + (2 * s.n_clauses) then reduce_db s
+              end
+            end
+            else if decision_level s < Array.length assumption_lits then begin
+              let l = assumption_lits.(decision_level s) in
+              match lit_value s l with
+              | 1 -> new_level () (* already holds: placeholder level *)
+              | 2 -> answer := Some (Result Unsat)
+              | _ ->
+                new_level ();
+                enqueue s l (-1)
+            end
+            else begin
+              let v = pick_branch_var s in
+              if v = 0 then answer := Some (Result Sat)
+              else begin
+                s.decisions <- s.decisions + 1;
+                new_level ();
+                let l = if s.phase.(v) then pos v else pos v + 1 in
+                enqueue s l (-1)
+              end
+            end
           end
         done;
-        (match !answer with Some r -> r | None -> assert false)
-      with Conflict _ ->
-        (* escapes only from level-0 propagation (initial, or a learnt
-           unit's fallout): latch like the in-loop level-0 case *)
-        if decision_level s = 0 then s.unsat <- true;
-        Result Unsat
+        if Option.is_none !answer then begin
+          (* restart, keeping the assumption prefix *)
+          s.restarts <- s.restarts + 1;
+          cancel_until s (min (decision_level s) (Array.length assumption_lits))
+        end
+      done;
+      Option.get !answer
     end
   in
   (match result with
@@ -861,7 +1057,7 @@ let value s v =
   match s.solved with
   | Some Sat ->
     if v < 1 || v > s.n_vars then invalid_arg "Sat.value: unknown variable";
-    s.assign.(v) = 1
+    s.assign.(pos v) = 1
   | Some Unsat | None -> invalid_arg "Sat.value: no model available"
 
 let export s =
@@ -870,15 +1066,19 @@ let export s =
     if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
   in
   let units = List.init level0_bound (fun i -> [ ext s.trail.(i) ]) in
-  let clauses =
-    List.rev_map
-      (fun c -> Array.to_list (Array.map ext c.lits))
-      (List.filter (fun c -> not c.deleted) s.clauses)
-  in
+  (* oldest first *)
+  let clauses = ref [] in
+  for i = s.clauses.size - 1 downto 0 do
+    let c = s.clauses.data.(i) in
+    if not (is_deleted s c) then
+      clauses :=
+        List.init (clause_size s c) (fun k -> ext s.arena.(c + 2 + k))
+        :: !clauses
+  done;
   (* a top-level conflict discovered during clause addition has no
      stored witness clause: export it as the empty clause *)
   let contradiction = if s.unsat then [ [] ] else [] in
-  (s.n_vars, contradiction @ units @ clauses)
+  (s.n_vars, contradiction @ units @ !clauses)
 
 type stats = {
   decisions : int;

@@ -7,9 +7,22 @@
     VSIDS variable activities with phase saving, Luby restarts and
     activity-based deletion of learnt clauses.
 
-    Usage is non-incremental: create a solver, allocate variables, add
-    clauses, then call {!solve} once.  Literals are non-zero integers:
-    [+v] for variable [v], [-v] for its negation (DIMACS convention). *)
+    Usage is incremental and assumption-based, the way the checker
+    drives it: a solver holds one shared problem frame for many
+    queries.  Allocate variables, add the frame's clauses, then guard
+    each obligation's clauses with a fresh activation literal [a]
+    (clauses [-a ∨ ...], added with [~activation:true]) and decide it
+    with [solve ~assumptions:[a; ...]].  Clauses may be added between
+    calls, and learnt clauses carry over to later queries.  A decided
+    obligation is retired by adding the unit [-a]; {!simplify} with
+    [~subsume:false] then deletes every clause that unit satisfies, and
+    the solver reclaims their memory, so a long-lived solver stays
+    bounded.  {!age_activity} keeps a retired query's branching
+    preferences from steering the next one.  A one-shot solve is the
+    special case with no assumptions.
+
+    Literals are non-zero integers: [+v] for variable [v], [-v] for
+    its negation (DIMACS convention). *)
 
 type t
 

@@ -118,6 +118,7 @@ let trace_tests =
               (List.mem ev [ "event"; "span_begin"; "span_end"; "counter" ]);
             Alcotest.(check bool) "has name" true (str "name" line <> None);
             Alcotest.(check bool) "has pid" true (int_of "pid" line <> None);
+            Alcotest.(check bool) "has run" true (str "run" line <> None);
             (match fl "ts" line with
             | Some ts -> Alcotest.(check bool) "ts >= 0" true (ts >= 0.0)
             | None -> Alcotest.fail "line without ts");
@@ -321,6 +322,53 @@ let profile_tests =
              i + k <= n && (String.sub rendered i k = needle || scan (i + 1))
            in
            scan 0));
+    t "a reused trace file profiles the same as its last run alone"
+      (fun () ->
+        (* --trace-out appends: a second run lands after the first in
+           the same file, and must not pick up its rows or counters *)
+        let record file name =
+          let d = Option.get (Catalog.find name) in
+          Obs.configure ~trace_out:file ();
+          ignore
+            (Engine.run ~jobs:1
+               (Engine.jobs_of ~name:d.Design.name d.Design.module_ila
+                  d.Design.rtl
+                  ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
+                  ()));
+          Obs.shutdown ()
+        in
+        let file = Filename.temp_file "ilv-obs-runs" ".jsonl" in
+        record file "Decoder";
+        let first_bytes = String.length (read_file file) in
+        record file "Clock Gen";
+        let raw = read_file file in
+        Sys.remove file;
+        let parse s =
+          match Json.parse_lines s with
+          | Ok lines -> lines
+          | Error msg -> Alcotest.fail msg
+        in
+        let both = parse raw
+        and last =
+          parse (String.sub raw first_bytes (String.length raw - first_bytes))
+        in
+        let run_of lines = str "run" (List.hd lines) in
+        let p = Profile.of_trace both and q = Profile.of_trace last in
+        Alcotest.(check (list (option string)))
+          "both runs listed"
+          [ run_of both; run_of last ]
+          (List.map Option.some p.Profile.runs);
+        Alcotest.(check (option string))
+          "the last run is aggregated" (run_of last) p.Profile.run;
+        Alcotest.(check bool)
+          "same profile as the last run alone" true
+          ({ p with Profile.runs = [] } = { q with Profile.runs = [] });
+        Alcotest.(check bool)
+          "no row of the first run" true
+          (p.Profile.rows <> []
+          && List.for_all
+               (fun (r : Profile.row) -> r.Profile.design = "Clock Gen")
+               p.Profile.rows));
   ]
 
 let suite =

@@ -362,6 +362,142 @@ let incremental_props =
            first = Sat.solve ~assumptions s));
   ]
 
+(* --- clause arena: learnt-clause reduction, compaction and the
+   memory of a long-lived incremental solver --- *)
+
+let satisfies s clauses =
+  List.for_all
+    (List.exists (fun l -> Sat.value s (abs l) = (l > 0)))
+    clauses
+
+let obs_count name =
+  Option.value ~default:0 (List.assoc_opt name (Ilv_obs.Obs.counters ()))
+
+(* The problem clauses of [export] (units excluded, which learnt level-0
+   facts add to) as a sorted multiset of sorted clauses: propagation
+   reorders literals inside a clause, never the clause set. *)
+let problem_clauses s =
+  snd (Sat.export s)
+  |> List.filter (fun c -> List.length c > 1)
+  |> List.map (List.sort compare)
+  |> List.sort compare
+
+(* [php_block ~first ~guard p] encodes [p] pigeons into [p-1] holes plus
+   an extra hole that opens only under [guard + 1]; every clause is
+   enabled by [guard].  Variables start at [first].  Under [guard] the
+   block is satisfiable with [guard + 1] and unsatisfiable (a hard
+   pigeonhole refutation) without it. *)
+let php_block ~first ~guard pigeons =
+  let holes = pigeons - 1 in
+  let var p h = first + (p * (holes + 1)) + h in
+  let extra = guard + 1 in
+  let pigeon_clauses =
+    List.init pigeons (fun p ->
+        [ -guard :: List.init (holes + 1) (fun h -> var p h);
+          [ -guard; extra; -var p holes ] ])
+  in
+  let hole_clauses =
+    List.init (holes + 1) (fun h ->
+        List.concat
+          (List.init pigeons (fun p1 ->
+               List.init (pigeons - p1 - 1) (fun d ->
+                   [ -guard; -var p1 h; -var (p1 + d + 1) h ]))))
+  in
+  List.concat (pigeon_clauses @ hole_clauses)
+
+let arena_tests =
+  [
+    t "reduce_db and compaction keep verdicts, models and the problem"
+      (fun () ->
+        (* two 8-into-7 pigeonhole blocks on one solver: each refutation
+           takes thousands of conflicts, past the 4000-learnt threshold *)
+        let pigeons = 8 in
+        let block_vars = pigeons * pigeons in
+        let g1 = 1 and g2 = block_vars + 3 in
+        let b1 = php_block ~first:(g1 + 2) ~guard:g1 pigeons in
+        let b2 = php_block ~first:(g2 + 2) ~guard:g2 pigeons in
+        let clauses = b1 @ b2 in
+        let s = mk (g2 + 1 + block_vars) clauses in
+        let before = problem_clauses s in
+        Ilv_obs.Obs.configure ~metrics:true ();
+        let queries =
+          [
+            ([ g1; g1 + 1 ], Sat.Sat);
+            ([ g1; -(g1 + 1) ], Sat.Unsat);
+            ([ g2; g2 + 1; g1 ], Sat.Sat);
+            ([ g2; -(g2 + 1) ], Sat.Unsat);
+            ([ g1; g2; g1 + 1; g2 + 1 ], Sat.Sat);
+            ([ g1; -(g1 + 1); g2 ], Sat.Unsat);
+            ([ -g1; -g2 ], Sat.Sat);
+          ]
+        in
+        List.iter
+          (fun (assumptions, expected) ->
+            let r = Sat.solve ~assumptions s in
+            Alcotest.check result
+              (String.concat "," (List.map string_of_int assumptions))
+              expected r;
+            if r = Sat.Sat then
+              Alcotest.(check bool) "model satisfies every clause" true
+                (satisfies s clauses))
+          queries;
+        let reductions = obs_count "sat.reductions"
+        and compactions = obs_count "sat.compactions" in
+        Ilv_obs.Obs.shutdown ();
+        Alcotest.(check bool)
+          (Printf.sprintf "at least two reductions (%d)" reductions)
+          true (reductions >= 2);
+        Alcotest.(check bool)
+          (Printf.sprintf "at least one compaction (%d)" compactions)
+          true (compactions >= 1);
+        Alcotest.(check bool) "export keeps the problem clauses" true
+          (before = problem_clauses s));
+    t "a resident solver's memory plateaus over add/solve/retire rounds"
+      (fun () ->
+        (* the resident-frame pattern: each round guards a clause group
+           with a fresh activation literal, solves under it and retires
+           it with a unit; [simplify] then deletes the group and any
+           learnt clause mentioning it, and compaction must hand the
+           words back.  The per-variable tables grow by doubling, so
+           between 1,025 and 2,047 variables they stay put and the
+           solver must not grow at all; unreclaimed clauses would add
+           over 70 words a round. *)
+        let base = 40 and rounds = 2000 in
+        let s = Sat.create () in
+        for _ = 1 to base do
+          ignore (Sat.new_var s)
+        done;
+        let rng = Random.State.make [| 13 |] in
+        let lit () =
+          let v = 1 + Random.State.int rng base in
+          if Random.State.bool rng then v else -v
+        in
+        let plateau = ref 0 in
+        for r = 1 to rounds do
+          let act = Sat.new_var s in
+          let group = List.init 12 (fun _ -> [ -act; lit (); lit (); lit () ]) in
+          List.iter (Sat.add_clause s) group;
+          (match Sat.solve ~assumptions:[ act; lit () ] s with
+          | Sat.Sat ->
+            Alcotest.(check bool) "model satisfies the group" true
+              (satisfies s group)
+          | Sat.Unsat -> ());
+          Sat.add_clause s [ -act ];
+          ignore (Sat.simplify ~subsume:false s);
+          Sat.age_activity s;
+          if r >= 1000 && r mod 50 = 0 then begin
+            let words = Obj.reachable_words (Obj.repr s) in
+            if r = 1000 then plateau := words
+            else if words > !plateau + (!plateau / 20) then
+              Alcotest.failf "round %d: %d words, %d at round 1000" r words
+                !plateau
+          end
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "under a fixed bound (%d words)" !plateau)
+          true (!plateau < 60_000));
+  ]
+
 let suite =
   [
     ("sat:unit", unit_tests);
@@ -370,4 +506,5 @@ let suite =
     ("sat:simplify", simplify_tests);
     ("sat:props", prop_tests);
     ("sat:incremental", incremental_props);
+    ("sat:arena", arena_tests);
   ]
