@@ -33,6 +33,15 @@ let is_unlimited b =
 
 let with_deadline d b = { b with deadline_s = Some d }
 
+let with_timeout timeout_s budget =
+  match timeout_s with
+  | None -> budget
+  | Some t ->
+    Some
+      (with_deadline
+         (Unix.gettimeofday () +. t)
+         (Option.value budget ~default:unlimited))
+
 let limit_of b =
   Sat.limit ?conflicts:b.conflicts ?propagations:b.propagations
     ?wall_s:b.wall_s ?deadline_s:b.deadline_s ()
@@ -137,14 +146,26 @@ type sat_hook =
   (string -> Sort.t -> Value.t) ->
   verdict option
 
-(* Decide one obligation, escalating the budget on [Unknown]: attempt
-   [k] runs under the initial limit scaled by [escalation_factor^k].
-   Learnt clauses persist in [ctx], so a retry resumes rather than
-   restarts the search. *)
-let decide ctx ~budget:b ~hypotheses attempts =
+let empty_stats =
+  {
+    time_s = 0.0;
+    obligation_times_s = [];
+    n_obligations = 0;
+    cnf_vars = 0;
+    cnf_clauses = 0;
+    conflicts = 0;
+    restarts = 0;
+    attempts = 0;
+  }
+
+(* Decide one query under [assumptions], escalating the budget on
+   [Unknown]: attempt [k] runs under the initial limit scaled by
+   [escalation_factor^k].  Learnt clauses persist in [ctx], so a retry
+   resumes rather than restarts the search. *)
+let decide_assuming ctx ~budget:b ~assumptions attempts =
   if is_unlimited b then begin
     incr attempts;
-    Bitblast.check_under ctx ~hypotheses
+    Bitblast.check_assuming ctx ~assumptions
   end
   else begin
     let base = limit_of b in
@@ -157,7 +178,7 @@ let decide ctx ~budget:b ~hypotheses attempts =
             base
       in
       incr attempts;
-      match Bitblast.check_under ~limit ctx ~hypotheses with
+      match Bitblast.check_assuming ~limit ctx ~assumptions with
       | Bitblast.Unknown reason
         when k < b.escalations && not (is_deadline_reason reason) ->
         go (k + 1)
@@ -166,34 +187,17 @@ let decide ctx ~budget:b ~hypotheses attempts =
     go 0
   end
 
-(* A prepared property: the assumptions are asserted into one
-   incremental bit-blasting context, and every obligation's guard and
-   negated goal are pre-encoded to solver literals; [check_prepared]
-   then decides the obligations in that context. *)
-type prepared = {
-  prop : Property.t;
-  ctx : Bitblast.t;
-  hyps : (Property.obligation * Expr.t list * int list) list;
-      (* obligation, prepped hypothesis exprs, their literals *)
-  pr_on_sat :
-    (ob_index:int -> (string -> Sort.t -> Value.t) -> verdict option) option;
-}
-
-let prepare ?(simplify = true) ?on_sat (p : Property.t) =
-  let ctx = Bitblast.create () in
-  let prep e = if simplify then Simp.simplify_fix e else e in
-  List.iter (fun a -> Bitblast.assert_bool ctx (prep a)) p.Property.assumptions;
-  let hyps =
-    List.map
-      (fun (ob : Property.obligation) ->
-        let exprs = [ prep ob.Property.guard; Build.not_ (prep ob.Property.goal) ] in
-        (ob, exprs, List.map (Bitblast.lit_of ctx) exprs))
-      p.Property.obligations
-  in
-  { prop = p; ctx; hyps; pr_on_sat = on_sat }
-
-let check_prepared ?(budget = unlimited) pr =
-  let p = pr.prop in
+(* The one obligation loop: both the fresh reference and the shared
+   incremental frame decide a property through it.  [queries] lists the
+   property's obligations in order, each with the solver literals its
+   query assumes and the step that retires its cone once it is decided
+   ([ignore] on a fresh context, which has no cones to retire).  Stops
+   at the first failure; an [Unknown] obligation does not stop the loop
+   — a definite failure later on is more informative.  The stats count
+   this call's solver work only, so a shared solver's earlier queries
+   are not charged again. *)
+let decide_obligations ?on_sat ctx ~budget (p : Property.t) queries =
+  let stats0 = Bitblast.solver_stats ctx in
   let attempts = ref 0 in
   let obligation_times = ref [] in
   let timed f =
@@ -208,11 +212,16 @@ let check_prepared ?(budget = unlimited) pr =
       | [] -> Proved
       | (label, reason) :: _ ->
         Unknown (Printf.sprintf "obligation %s: %s" label reason))
-    | (ob, _, _) :: rest when past_deadline budget ->
+    | (ob, _, retire) :: rest when past_deadline budget ->
       (* the group clock ran out: no more solver calls, every remaining
-         obligation degrades to a timestamped Unknown *)
-      go (j + 1) ((ob.Property.label, deadline_reason budget) :: unknowns) rest
-    | (ob, hypotheses, _lits) :: rest -> (
+         obligation degrades to a timestamped Unknown (and its cone is
+         retired, so a shared frame stays lean for whoever queries
+         next) *)
+      retire ();
+      go (j + 1)
+        ((ob.Property.label, deadline_reason budget) :: unknowns)
+        rest
+    | (ob, assumptions, retire) :: rest -> (
       let span =
         if Ilv_obs.Obs.enabled () then
           Some
@@ -233,7 +242,7 @@ let check_prepared ?(budget = unlimited) pr =
                 ~key:(p.Property.prop_name ^ "/" ^ ob.Property.label)
               = Ilv_obs.Inject.Fault
             then Bitblast.Unknown "chaos: injected solver stall"
-            else decide pr.ctx ~budget ~hypotheses attempts)
+            else decide_assuming ctx ~budget ~assumptions attempts)
       in
       (match span with
       | None -> ()
@@ -256,28 +265,36 @@ let check_prepared ?(budget = unlimited) pr =
             ]
           id);
       match result with
-      | Bitblast.Unsat -> go (j + 1) unknowns rest
+      | Bitblast.Unsat ->
+        retire ();
+        go (j + 1) unknowns rest
       | Bitblast.Unknown reason ->
-        (* keep going: a definite failure on a later obligation is more
-           informative than this obligation's timeout *)
+        retire ();
         go (j + 1) ((ob.Property.label, reason) :: unknowns) rest
       | Bitblast.Sat model -> (
-        match pr.pr_on_sat with
-        | None -> failed_of_model p ob model
-        | Some hook -> (
-          match hook ~ob_index:j model with
-          | Some verdict -> verdict
-          | None ->
-            (* spurious: the abstraction moved under this encoding; the
-               remaining obligations would solve against the same stale
-               frame, so stop and let the CEGAR driver re-encode *)
-            Unknown (spurious_reason ()))))
+        (* decode before retiring: retiring adds a clause, which
+           invalidates the model *)
+        let disposition =
+          match on_sat with
+          | None -> Some (failed_of_model p ob model)
+          | Some hook -> hook ~ob_index:j model
+        in
+        match disposition with
+        | Some verdict ->
+          retire ();
+          List.iter (fun (_, _, retire) -> retire ()) rest;
+          verdict
+        | None ->
+          (* spurious: the hook refined the abstraction, so this whole
+             encoding is stale.  Retire nothing and stop — the CEGAR
+             driver re-encodes from the refined window. *)
+          Unknown (spurious_reason ())))
   in
-  let verdict = go 0 [] pr.hyps in
-  let cnf_vars, cnf_clauses = Bitblast.cnf_size pr.ctx in
-  let solver_stats = Bitblast.solver_stats pr.ctx in
+  let verdict = go 0 [] queries in
+  let cnf_vars, cnf_clauses = Bitblast.cnf_size ctx in
+  let solver_stats = Bitblast.solver_stats ctx in
   let obligation_times_s = List.rev !obligation_times in
-  let stats =
+  ( verdict,
     {
       (* summed per-obligation wall clock, each delta captured exactly
          once around the solver call: correct and monotone even when
@@ -287,15 +304,41 @@ let check_prepared ?(budget = unlimited) pr =
       n_obligations = List.length p.Property.obligations;
       cnf_vars;
       cnf_clauses;
-      conflicts = solver_stats.Sat.conflicts;
-      restarts = solver_stats.Sat.restarts;
+      conflicts = solver_stats.Sat.conflicts - stats0.Sat.conflicts;
+      restarts = solver_stats.Sat.restarts - stats0.Sat.restarts;
       attempts = !attempts;
-    }
-  in
-  (verdict, stats)
+    } )
 
-let check ?simplify ?on_sat ?budget (p : Property.t) =
-  check_prepared ?budget (prepare ?simplify ?on_sat p)
+(* The fresh reference: a context of its own per property, the
+   assumptions asserted unguarded, every obligation's guard and negated
+   goal encoded to literals up front and assumed per query.  No
+   activation literals, nothing to retire.  Exceptions (an encoding
+   error, a malformed mutant) map to [Unknown]: one property's trouble
+   never aborts a sweep. *)
+let check ?(simplify = true) ?on_sat ?(budget = unlimited) (p : Property.t) =
+  let fresh () =
+    let ctx = Bitblast.create () in
+    let prep e = if simplify then Simp.simplify_fix e else e in
+    List.iter
+      (fun a -> Bitblast.assert_bool ctx (prep a))
+      p.Property.assumptions;
+    let queries =
+      List.map
+        (fun (ob : Property.obligation) ->
+          let exprs =
+            [ prep ob.Property.guard; Build.not_ (prep ob.Property.goal) ]
+          in
+          (ob, List.map (Bitblast.lit_of ctx) exprs, ignore))
+        p.Property.obligations
+    in
+    decide_obligations ?on_sat ctx ~budget p queries
+  in
+  match fresh () with
+  | r -> r
+  | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
+  | exception e ->
+    ( Unknown ("exception: " ^ Printexc.to_string e),
+      { empty_stats with n_obligations = List.length p.Property.obligations } )
 
 (* --- shared-frame incremental checking --- *)
 
@@ -321,7 +364,6 @@ type enc =
 type shared = {
   sh_props : Property.t array;
   sh_ctx : Bitblast.t;
-  sh_simplify : bool;
   sh_label : string; (* what the frame belongs to, for observability *)
   sh_enc : enc array;
   sh_done : (verdict * stats) option array;
@@ -335,12 +377,11 @@ type shared = {
   sh_on_sat : sat_hook option;
 }
 
-let prepare_shared ?(simplify = true) ?(label = "") ?on_sat props =
+let prepare_shared ?(label = "") ?on_sat props =
   let n = List.length props in
   {
     sh_props = Array.of_list props;
     sh_ctx = Bitblast.create ();
-    sh_simplify = simplify;
     sh_label = label;
     sh_enc = Array.make n Pending;
     sh_done = Array.make n None;
@@ -355,18 +396,17 @@ let prepare_shared ?(simplify = true) ?(label = "") ?on_sat props =
    selector is assumed.  Deterministic for a given context state — the
    freeze below relies on replaying it on a pristine context producing
    the same clauses and selector numbers on every worker. *)
-let encode_property ctx ~simplify p =
-  let prep e = if simplify then Simp.simplify_fix e else e in
+let encode_property ctx p =
   let p_act = Bitblast.fresh_selector ctx in
   List.iter
-    (fun a -> Bitblast.guard_bool ctx ~act:p_act (prep a))
+    (fun a -> Bitblast.guard_bool ctx ~act:p_act (Simp.simplify_fix a))
     p.Property.assumptions;
   let obs =
     List.map
       (fun (ob : Property.obligation) ->
         let act = Bitblast.fresh_selector ctx in
-        Bitblast.guard_bool ctx ~act (prep ob.Property.guard);
-        Bitblast.guard_not ctx ~act (prep ob.Property.goal);
+        Bitblast.guard_bool ctx ~act (Simp.simplify_fix ob.Property.guard);
+        Bitblast.guard_not ctx ~act (Simp.simplify_fix ob.Property.goal);
         { so_ob = ob; so_act = act })
       p.Property.obligations
   in
@@ -395,7 +435,7 @@ let encode_shared sh idx =
              ])
       else None
     in
-    (match encode_property sh.sh_ctx ~simplify:sh.sh_simplify p with
+    (match encode_property sh.sh_ctx p with
     | p_act, obs -> sh.sh_enc.(idx) <- Encoded (p_act, obs)
     | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
     | exception e -> sh.sh_enc.(idx) <- Enc_failed (Printexc.to_string e));
@@ -416,7 +456,7 @@ let encode_shared sh idx =
    before the first solve (lazy path, where the first property's cone
    already contains the common frame). *)
 let simplify_shared_once sh =
-  if sh.sh_simplify && not sh.sh_simplified then begin
+  if not sh.sh_simplified then begin
     sh.sh_simplified <- true;
     let t0 = Unix.gettimeofday () in
     let removed = Bitblast.simplify sh.sh_ctx in
@@ -454,14 +494,14 @@ let shared_freeze sh =
     let selectors =
       Array.map
         (fun p ->
-          match encode_property ctx ~simplify:sh.sh_simplify p with
+          match encode_property ctx p with
           | p_act, obs -> List.map (fun so -> [ p_act; so.so_act ]) obs
           | exception ((Out_of_memory | Stack_overflow) as fatal) ->
             raise fatal
           | exception _ -> [] (* uncacheable; check_shared reports it *))
         sh.sh_props
     in
-    let removed = if sh.sh_simplify then Bitblast.simplify ctx else 0 in
+    let removed = Bitblast.simplify ctx in
     sh.sh_removed <- removed;
     sh.sh_frozen <- Some (Bitblast.cnf ctx, selectors);
     match span with
@@ -491,34 +531,7 @@ let shared_frame_selectors sh idx =
 
 let shared_simplify_removed sh = sh.sh_removed
 
-(* Decide one obligation under its activation literals, escalating the
-   budget on [Unknown] exactly like the fresh-solver path. *)
-let decide_assuming ctx ~budget:b ~assumptions attempts =
-  if is_unlimited b then begin
-    incr attempts;
-    Bitblast.check_assuming ctx ~assumptions
-  end
-  else begin
-    let base = limit_of b in
-    let rec go k =
-      let limit =
-        if k = 0 then base
-        else
-          Sat.scale_limit
-            (int_of_float (float_of_int b.escalation_factor ** float_of_int k))
-            base
-      in
-      incr attempts;
-      match Bitblast.check_assuming ~limit ctx ~assumptions with
-      | Bitblast.Unknown reason
-        when k < b.escalations && not (is_deadline_reason reason) ->
-        go (k + 1)
-      | answer -> answer
-    in
-    go 0
-  end
-
-let check_shared ?(budget = unlimited) sh idx =
+let check_shared ?on_sat ~budget sh idx =
   match sh.sh_done.(idx) with
   | Some r -> r
   | None ->
@@ -530,114 +543,19 @@ let check_shared ?(budget = unlimited) sh idx =
   | Pending -> assert false
   | Enc_failed msg ->
     ( Unknown ("exception: " ^ msg),
-      {
-        time_s = 0.0;
-        obligation_times_s = [];
-        n_obligations = List.length p.Property.obligations;
-        cnf_vars = 0;
-        cnf_clauses = 0;
-        conflicts = 0;
-        restarts = 0;
-        attempts = 0;
-      } )
+      { empty_stats with n_obligations = List.length p.Property.obligations } )
   | Encoded (p_act, obs) ->
-    let stats0 = Bitblast.solver_stats sh.sh_ctx in
-    let attempts = ref 0 in
-    let obligation_times = ref [] in
-    let timed f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      obligation_times := (Unix.gettimeofday () -. t0) :: !obligation_times;
-      r
+    let queries =
+      List.map
+        (fun so ->
+          ( so.so_ob,
+            [ p_act; so.so_act ],
+            fun () -> Bitblast.retire sh.sh_ctx so.so_act ))
+        obs
     in
-    let retire so = Bitblast.retire sh.sh_ctx so.so_act in
-    let rec go j unknowns = function
-      | [] -> (
-        match List.rev unknowns with
-        | [] -> Proved
-        | (label, reason) :: _ ->
-          Unknown (Printf.sprintf "obligation %s: %s" label reason))
-      | so :: rest when past_deadline budget ->
-        (* decided by the clock, not the solver; retire the cone so the
-           shared frame stays lean for whoever queries next *)
-        retire so;
-        go (j + 1)
-          ((so.so_ob.Property.label, deadline_reason budget) :: unknowns)
-          rest
-      | so :: rest -> (
-        let ob = so.so_ob in
-        let span =
-          if Ilv_obs.Obs.enabled () then
-            Some
-              (Ilv_obs.Obs.span_begin "checker.obligation"
-                 [
-                   ("prop", Ilv_obs.Obs.S p.Property.prop_name);
-                   ("port", Ilv_obs.Obs.S p.Property.port);
-                   ("instr", Ilv_obs.Obs.S p.Property.instr.Ila.instr_name);
-                   ("label", Ilv_obs.Obs.S ob.Property.label);
-                   ("mode", Ilv_obs.Obs.S "incremental");
-                 ])
-          else None
-        in
-        let attempts0 = !attempts in
-        let result =
-          timed (fun () ->
-              if
-                Ilv_obs.Inject.fire_once ~point:"solver.stall"
-                  ~key:(p.Property.prop_name ^ "/" ^ ob.Property.label)
-                = Ilv_obs.Inject.Fault
-              then Bitblast.Unknown "chaos: injected solver stall"
-              else
-                decide_assuming sh.sh_ctx ~budget
-                  ~assumptions:[ p_act; so.so_act ] attempts)
-        in
-        (match span with
-        | None -> ()
-        | Some id ->
-          let open Ilv_obs.Obs in
-          let tries = !attempts - attempts0 in
-          count "checker.obligations" 1;
-          count "checker.escalations" (max 0 (tries - 1));
-          span_end
-            ~fields:
-              [
-                ( "outcome",
-                  S
-                    (match result with
-                    | Bitblast.Unsat -> "unsat"
-                    | Bitblast.Sat _ -> "sat"
-                    | Bitblast.Unknown _ -> "unknown") );
-                ("attempts", I tries);
-                ("escalation_level", I (max 0 (tries - 1)));
-              ]
-            id);
-        match result with
-        | Bitblast.Unsat ->
-          retire so;
-          go (j + 1) unknowns rest
-        | Bitblast.Unknown reason ->
-          retire so;
-          go (j + 1) ((ob.Property.label, reason) :: unknowns) rest
-        | Bitblast.Sat model -> (
-          (* decode before retiring: retiring adds a clause, which
-             invalidates the model *)
-          let disposition =
-            match sh.sh_on_sat with
-            | None -> Some (failed_of_model p ob model)
-            | Some hook -> hook ~prop_index:idx ~ob_index:j model
-          in
-          match disposition with
-          | Some verdict ->
-            retire so;
-            List.iter retire rest;
-            verdict
-          | None ->
-            (* spurious: the hook refined the abstraction, making this
-               whole frame stale.  Retire nothing — the caller discards
-               the context and re-prepares from the refined window. *)
-            Unknown (spurious_reason ())))
+    let verdict, stats =
+      decide_obligations ?on_sat sh.sh_ctx ~budget p queries
     in
-    let verdict = go 0 [] obs in
     (* the whole property is decided: retire its assumption cone too,
        then shed every clause the retire units satisfy — the guarded
        cones and any learnt clause mentioning a retired activation
@@ -647,41 +565,14 @@ let check_shared ?(budget = unlimited) sh idx =
     Bitblast.retire sh.sh_ctx p_act;
     ignore (Bitblast.simplify ~subsume:false sh.sh_ctx);
     Bitblast.age_activity sh.sh_ctx;
+    (* the CNF size describes the whole shared context after cleanup *)
     let cnf_vars, cnf_clauses = Bitblast.cnf_size sh.sh_ctx in
-    let solver_stats = Bitblast.solver_stats sh.sh_ctx in
-    let obligation_times_s = List.rev !obligation_times in
-    let stats =
-      {
-        time_s = List.fold_left ( +. ) 0.0 obligation_times_s;
-        obligation_times_s;
-        n_obligations = List.length p.Property.obligations;
-        cnf_vars;
-        cnf_clauses;
-        (* deltas: the solver is shared across the design's properties,
-           so totals would double-count earlier instructions *)
-        conflicts = solver_stats.Sat.conflicts - stats0.Sat.conflicts;
-        restarts = solver_stats.Sat.restarts - stats0.Sat.restarts;
-        attempts = !attempts;
-      }
-    in
-    (verdict, stats)
+    (verdict, { stats with cnf_vars; cnf_clauses })
   in
   sh.sh_done.(idx) <- Some r;
   r
 
 (* --- degradation ladder --- *)
-
-let zero_stats (p : Property.t) =
-  {
-    time_s = 0.0;
-    obligation_times_s = [];
-    n_obligations = List.length p.Property.obligations;
-    cnf_vars = 0;
-    cnf_clauses = 0;
-    conflicts = 0;
-    restarts = 0;
-    attempts = 0;
-  }
 
 (* Ladder stats accumulate across rungs: wall clock, conflicts and
    attempts are real work and sum; CNF sizes describe the biggest
@@ -730,25 +621,15 @@ let tightened (b : budget) : budget =
     escalation_factor = b.escalation_factor;
   }
 
-(* A fresh-context retry of one property.  [check] re-prepares from
-   scratch, so an exception that poisoned the shared encoding resurfaces
-   here; it must map to [Unknown], not propagate — the ladder's whole
-   point is that one property's trouble never aborts the sweep. *)
-let check_fresh ?on_sat ~budget ~simplify p =
-  match check ~simplify ?on_sat ~budget p with
-  | r -> r
-  | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-  | exception e -> (Unknown ("exception: " ^ Printexc.to_string e), zero_stats p)
-
 let check_shared_degrading ?(budget = unlimited) sh idx =
   let p = sh.sh_props.(idx) in
-  (* the ladder's fresh rungs re-solve the same (possibly abstract)
-     property, so the SAT-model hook must ride along or a spurious
-     abstract model would masquerade as a genuine failure *)
+  (* every rung solves the same (possibly abstract) property, so the
+     SAT-model hook rides along to the fresh rungs too, or a spurious
+     abstract model would masquerade as a genuine failure there *)
   let on_sat =
     Option.map (fun hook -> hook ~prop_index:idx) sh.sh_on_sat
   in
-  let v1, s1 = check_shared ~budget sh idx in
+  let v1, s1 = check_shared ?on_sat ~budget sh idx in
   match v1 with
   | Proved | Failed _ -> (v1, s1, "incremental")
   | Unknown r1 when is_deadline_reason r1 ->
@@ -761,7 +642,7 @@ let check_shared_degrading ?(budget = unlimited) sh idx =
     (v1, s1, "incremental")
   | Unknown r1 -> (
     degrade_event p ~from_rung:"incremental" ~to_rung:"fresh" ~reason:r1;
-    let v2, s2 = check_fresh ?on_sat ~budget ~simplify:sh.sh_simplify p in
+    let v2, s2 = check ?on_sat ~budget p in
     let s12 = merge_stats s1 s2 in
     match v2 with
     | Proved | Failed _ -> (v2, s12, "fresh")
@@ -770,8 +651,7 @@ let check_shared_degrading ?(budget = unlimited) sh idx =
     | Unknown r2 -> (
       degrade_event p ~from_rung:"fresh" ~to_rung:"tightened" ~reason:r2;
       let v3, s3 =
-        check_fresh ?on_sat ~budget:(tightened budget)
-          ~simplify:sh.sh_simplify p
+        check ?on_sat ~budget:(tightened budget) p
       in
       let s123 = merge_stats s12 s3 in
       match v3 with

@@ -62,6 +62,12 @@ val with_deadline : float -> budget -> budget
     (Unix epoch seconds) — how callers stamp a per-group wall clock
     onto a shared base budget. *)
 
+val with_timeout : float option -> budget option -> budget option
+(** [with_timeout timeout_s budget] starts an obligation group's clock:
+    with [Some t], the budget (unlimited when absent) with its absolute
+    deadline at now [+ t]; with [None], [budget] unchanged.  Call it
+    when the group is picked up — the clock is per group. *)
+
 val deadline_sentinel : string
 (** The structured marker (["deadline:"]) stamped onto every unknown an
     absolute group deadline produces — and onto nothing else.  It is
@@ -82,8 +88,8 @@ val spurious_sentinel : string
 (** The structured marker (["cegar-spurious:"]) stamped onto the unknown
     produced when a SAT-model hook rejects an abstract counterexample:
     the abstraction was refined and the encoding the model came from is
-    stale.  CEGAR drivers ({!Ilv_core.Mem_abstract}, {!Verify}) catch
-    it, re-encode and retry; it must never surface as a final verdict. *)
+    stale.  The CEGAR driver ({!Verify}) catches it, re-encodes and
+    retries; it must never surface as a final verdict. *)
 
 val spurious_reason : unit -> string
 
@@ -128,15 +134,9 @@ val merge_stats : stats -> stats -> stats
 (** Accumulates stats across retries/rungs: wall clock, conflicts and
     attempts sum; CNF sizes take the maximum. *)
 
-val check_fresh :
-  ?on_sat:(ob_index:int -> (string -> Ilv_expr.Sort.t -> Ilv_expr.Value.t) -> verdict option) ->
-  budget:budget ->
-  simplify:bool ->
-  Property.t ->
-  verdict * stats
-(** {!check} with exceptions mapped to [Unknown] — the exception-safe
-    single-property retry used by the degradation ladder and the CEGAR
-    drivers' concrete fallback. *)
+val empty_stats : stats
+(** No work done: every count zero, no obligation times.  The stats of
+    a verdict that was never solved for (an error, a memo hit). *)
 
 val check :
   ?simplify:bool ->
@@ -144,13 +144,20 @@ val check :
   ?budget:budget ->
   Property.t ->
   verdict * stats
-(** Checks obligations in order; stops at the first failure.  An
-    obligation that exhausts its (escalated) budget yields [Unknown],
-    but later obligations are still checked — a definite [Failed] wins
-    over [Unknown].  [simplify] (default true) applies the word-level
-    simplifier ({!Ilv_expr.Simp}) to every formula before bit-blasting;
-    disabling it is only useful for measuring the simplifier's
-    effect. *)
+(** The fresh reference: decides the property on a solver context of
+    its own, with its assumptions asserted unguarded and each
+    obligation's guard and negated goal assumed per query.  Checks
+    obligations in order; stops at the first failure.  An obligation
+    that exhausts its (escalated) budget yields [Unknown], but later
+    obligations are still checked — a definite [Failed] wins over
+    [Unknown].  Exceptions (an encoding error, a malformed mutant) map
+    to [Unknown "exception: ..."].  [on_sat] interposes on satisfying
+    models as {!sat_hook} does.  [simplify] (default true) applies the
+    word-level simplifier ({!Ilv_expr.Simp}) to every formula before
+    bit-blasting; disabling it is only useful for measuring the
+    simplifier's effect.  The degradation ladder's fresh rungs and
+    the CEGAR driver's concrete fallback run here; it is also what the
+    differential tests compare the shared frame against. *)
 
 (** {1 Shared-frame incremental checking}
 
@@ -173,18 +180,17 @@ val check :
 type shared
 
 val prepare_shared :
-  ?simplify:bool ->
   ?label:string ->
   ?on_sat:sat_hook ->
   Property.t list ->
   shared
-(** Creates the shared context.  [simplify] (default true) applies
-    both the word-level simplifier to every formula and, once per
-    context, the solver's CNF-level pass ({!Ilv_sat.Sat.simplify}).
-    [label] names the frame in observability output (the design, or
-    design/port, it belongs to).  [on_sat] interposes on every
-    satisfying model (see {!sat_hook}); it also rides along the
-    degradation ladder's fresh rungs. *)
+(** Creates the shared context.  Every formula goes through the
+    word-level simplifier, and the solver's CNF-level pass
+    ({!Ilv_sat.Sat.simplify}) runs once per context.  [label] names the
+    frame in observability output (the design, or design/port, it
+    belongs to).  [on_sat] interposes on every satisfying model (see
+    {!sat_hook}); it also rides along the degradation ladder's fresh
+    rungs. *)
 
 val shared_freeze : shared -> unit
 (** Replays the full encoding — every property, in list order — on a
@@ -231,7 +237,7 @@ val check_shared_degrading :
 
 val shared_simplify_removed : shared -> int
 (** Clauses removed by the CNF-level simplification pass (0 before the
-    pass has run, or with [~simplify:false]). *)
+    pass has run). *)
 
 (** {1 Model decoding helpers}
 

@@ -43,18 +43,6 @@ let unknowns r =
         p.instr_results)
     r.ports
 
-let empty_stats =
-  {
-    Checker.time_s = 0.0;
-    obligation_times_s = [];
-    n_obligations = 0;
-    cnf_vars = 0;
-    cnf_clauses = 0;
-    conflicts = 0;
-    restarts = 0;
-    attempts = 0;
-  }
-
 (* Errors while checking one instruction (a malformed mutant tripping
    the bit-blaster, an ill-sorted refinement expression, ...) must not
    abort the whole report: they become that instruction's verdict. *)
@@ -83,18 +71,17 @@ type prepared_port = {
   pp_concrete : Property.t array;  (* slot-ordered concrete properties *)
   pp_abstraction : Mem_abstract.t option;
   pp_label : string;
-  pp_simplify : bool option;
   mutable pp_frame_gen : int;
       (* abstraction generation [pp_shared] was built from *)
 }
 
 (* The shared frame: concrete properties directly, or their
    memory-abstracted rewrite with the CEGAR replay hook installed. *)
-let make_shared ~simplify ~label ~abstraction concrete =
+let make_shared ~label ~abstraction concrete =
   match abstraction with
-  | None -> Checker.prepare_shared ?simplify ~label concrete
+  | None -> Checker.prepare_shared ~label concrete
   | Some ab ->
-    Checker.prepare_shared ?simplify ~label
+    Checker.prepare_shared ~label
       ~on_sat:(Mem_abstract.hook ab)
       (Array.to_list (Mem_abstract.abstract_properties ab))
 
@@ -102,7 +89,7 @@ let abstraction_generation = function
   | Some ab -> Mem_abstract.generation ab
   | None -> 0
 
-let prepare_port ?simplify ?(memory_abstraction = true) ~name ~port ~rtl
+let prepare_port ?(memory_abstraction = true) ~name ~port ~rtl
     ~refmap () =
   let instrs = Ila.leaf_instructions port in
   let gens =
@@ -118,7 +105,7 @@ let prepare_port ?simplify ?(memory_abstraction = true) ~name ~port ~rtl
   let abstraction =
     if memory_abstraction then Mem_abstract.create ~label concrete else None
   in
-  let sh = make_shared ~simplify ~label ~abstraction concrete in
+  let sh = make_shared ~label ~abstraction concrete in
   let slots = Hashtbl.create 16 in
   let next = ref 0 in
   List.iter
@@ -137,7 +124,6 @@ let prepare_port ?simplify ?(memory_abstraction = true) ~name ~port ~rtl
     pp_concrete = Array.of_list concrete;
     pp_abstraction = abstraction;
     pp_label = label;
-    pp_simplify = simplify;
     pp_frame_gen = abstraction_generation abstraction;
   }
 
@@ -183,13 +169,11 @@ let cegar ab ~frame_gen ~solve ~reencode ~concrete =
         if round = 0 then rung ^ "+abstract"
         else Printf.sprintf "%s+cegar%d" rung round )
   in
-  attempt 0 empty_stats
-
-let unbounded budget = Option.value budget ~default:Checker.unlimited
+  attempt 0 Checker.empty_stats
 
 let rebuild_frame pr =
   pr.pp_shared <-
-    make_shared ~simplify:pr.pp_simplify ~label:pr.pp_label
+    make_shared ~label:pr.pp_label
       ~abstraction:pr.pp_abstraction
       (Array.to_list pr.pp_concrete);
   pr.pp_frame_gen <- abstraction_generation pr.pp_abstraction
@@ -197,7 +181,7 @@ let rebuild_frame pr =
 let check_port_instr ?budget pr instr_name =
   match prepared_slot pr instr_name with
   | Error msg ->
-    (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
+    (Checker.Unknown ("exception: " ^ msg), Checker.empty_stats, "error")
   | Ok idx -> (
     (* the ladder: incremental -> fresh -> tightened -> Unknown, each
        demotion observable *)
@@ -205,7 +189,7 @@ let check_port_instr ?budget pr instr_name =
       try Checker.check_shared_degrading ?budget pr.pp_shared idx
       with e ->
         ( Checker.Unknown ("exception: " ^ message_of_exn e),
-          empty_stats,
+          Checker.empty_stats,
           "error" )
     in
     match pr.pp_abstraction with
@@ -215,17 +199,12 @@ let check_port_instr ?budget pr instr_name =
         ~frame_gen:(fun () -> pr.pp_frame_gen)
         ~solve:ladder
         ~reencode:(fun () -> rebuild_frame pr)
-        ~concrete:(fun () ->
-          Checker.check_fresh ~budget:(unbounded budget)
-            ~simplify:(Option.value pr.pp_simplify ~default:true)
-            pr.pp_concrete.(idx)))
+        ~concrete:(fun () -> Checker.check ?budget pr.pp_concrete.(idx)))
 
 let check_property ?budget ?(memory_abstraction = true) p =
   match if memory_abstraction then Mem_abstract.create [ p ] else None with
   | None ->
-    let v, s =
-      Checker.check_fresh ~budget:(unbounded budget) ~simplify:true p
-    in
+    let v, s = Checker.check ?budget p in
     (v, s, "fresh")
   | Some ab ->
     let frame_gen = ref (Mem_abstract.generation ab) in
@@ -233,14 +212,13 @@ let check_property ?budget ?(memory_abstraction = true) p =
       ~frame_gen:(fun () -> !frame_gen)
       ~solve:(fun () ->
         let v, s =
-          Checker.check_fresh ~budget:(unbounded budget) ~simplify:true
+          Checker.check ?budget
             ~on_sat:(Mem_abstract.hook ab ~prop_index:0)
             (Mem_abstract.abstract_properties ab).(0)
         in
         (v, s, "fresh"))
       ~reencode:(fun () -> frame_gen := Mem_abstract.generation ab)
-      ~concrete:(fun () ->
-        Checker.check_fresh ~budget:(unbounded budget) ~simplify:true p)
+      ~concrete:(fun () -> Checker.check ?budget p)
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 
@@ -280,14 +258,7 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
         (* the timeout is per obligation group — here, per port: each
            port's clock starts when its first instruction is picked up,
            so a slow early port cannot starve the rest of the report *)
-        let budget =
-          match timeout_s with
-          | None -> budget
-          | Some t ->
-            Some
-              (Checker.with_deadline (pt0 +. t)
-                 (Option.value budget ~default:Checker.unlimited))
-        in
+        let budget = Checker.with_timeout timeout_s budget in
         let refmap =
           try Ok (refmap_for port.Ila.name)
           with e -> Error (message_of_exn e)
@@ -302,7 +273,9 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
           match refmap with
           | Error msg ->
             fun _ ->
-              (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
+              ( Checker.Unknown ("exception: " ^ msg),
+                Checker.empty_stats,
+                "error" )
           | Ok refmap when incremental ->
             let pr =
               prepare_port ~memory_abstraction ~name ~port ~rtl ~refmap ()
@@ -315,7 +288,7 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
               | p -> check_property ?budget ~memory_abstraction p
               | exception e ->
                 ( Checker.Unknown ("exception: " ^ message_of_exn e),
-                  empty_stats,
+                  Checker.empty_stats,
                   "error" ))
         in
         let rec check_all = function
@@ -333,7 +306,6 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
                          ("design", Ilv_obs.Obs.S name);
                          ("port", Ilv_obs.Obs.S port.Ila.name);
                          ("instr", Ilv_obs.Obs.S i.Ila.instr_name);
-                         ("backend", Ilv_obs.Obs.S "sat");
                        ])
                 else None
               in
@@ -354,7 +326,7 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
                           | Checker.Failed _ -> "failed"
                           | Checker.Unknown _ -> "unknown") );
                       ("attempts", I stats.Checker.attempts);
-                      ("rung", S rung);
+                      ("backend", S rung);
                     ]
                   id);
               let result =

@@ -62,7 +62,6 @@ type prepared_port
     instruction returns the first verdict without re-solving. *)
 
 val prepare_port :
-  ?simplify:bool ->
   ?memory_abstraction:bool ->
   name:string ->
   port:Ila.t ->

@@ -61,18 +61,6 @@ type summary = {
   jobs_used : int;
 }
 
-let empty_stats =
-  {
-    Checker.time_s = 0.0;
-    obligation_times_s = [];
-    n_obligations = 0;
-    cnf_vars = 0;
-    cnf_clauses = 0;
-    conflicts = 0;
-    restarts = 0;
-    attempts = 0;
-  }
-
 let result_of_job (j : job) ~verdict ~stats ~time_s ~backend ~cache_hit =
   {
     job_id = j.id;
@@ -207,7 +195,7 @@ let check_instr ?budget ?cache ?memo ~design port instr =
     Option.bind key (fun k -> Option.bind tbl (fun t -> f t k))
   in
   match find memo Hashtbl.find_opt with
-  | Some (verdict, rung) -> (verdict, empty_stats, rung, Memo_hit)
+  | Some (verdict, rung) -> (verdict, Checker.empty_stats, rung, Memo_hit)
   | None -> (
     match find cache Proof_cache.lookup with
     | Some e ->
@@ -226,17 +214,6 @@ let check_instr ?budget ?cache ?memo ~design port instr =
       | _ -> ());
       (verdict, stats, rung, Solved))
 
-(* Per-group absolute deadline: the clock starts when the group is
-   picked up, preparation included. *)
-let deadlined ~timeout_s budget =
-  match timeout_s with
-  | None -> budget
-  | Some t ->
-    Some
-      (Checker.with_deadline
-         (Unix.gettimeofday () +. t)
-         (Option.value budget ~default:Checker.unlimited))
-
 let discharge ~cache ~budget port (j : job) =
   chaos_kill_point j;
   let t0 = Unix.gettimeofday () in
@@ -246,7 +223,7 @@ let discharge ~cache ~budget port (j : job) =
       ~backend ~cache_hit
   in
   let errored msg =
-    result (Checker.Unknown ("engine: " ^ msg)) empty_stats "error"
+    result (Checker.Unknown ("engine: " ^ msg)) Checker.empty_stats "error"
       ~cache_hit:false
   in
   match port with
@@ -339,7 +316,9 @@ let run ?(jobs = 1) ?cache ?budget ?timeout_s ?(memory_abstraction = true)
      groups (one fork per worker for the whole sweep, not per group). *)
   let groups = group_jobs job_list in
   let discharge_group group =
-    let budget = deadlined ~timeout_s budget in
+    (* per-group absolute deadline: the clock starts when the group is
+       picked up, preparation included *)
+    let budget = Checker.with_timeout timeout_s budget in
     let port =
       match group with
       | [] -> Error "empty group"
@@ -375,13 +354,14 @@ let run ?(jobs = 1) ?cache ?budget ?timeout_s ?(memory_abstraction = true)
         | Pool.Crashed reason ->
           result_of_job j
             ~verdict:(Checker.Unknown ("engine: " ^ reason))
-            ~stats:empty_stats ~time_s:0.0 ~backend:"error" ~cache_hit:false
+            ~stats:Checker.empty_stats ~time_s:0.0 ~backend:"error"
+            ~cache_hit:false
         | Pool.Poisoned reason ->
           (* quarantined by pool supervision: an explicit, machine-
              readable verdict with the kill history, not a hang *)
           result_of_job j
             ~verdict:(Checker.Unknown ("engine: poisoned: " ^ reason))
-            ~stats:empty_stats ~time_s:0.0 ~backend:"poisoned"
+            ~stats:Checker.empty_stats ~time_s:0.0 ~backend:"poisoned"
             ~cache_hit:false)
       (List.concat groups) outcomes
   in

@@ -269,12 +269,13 @@ let pp fmt p =
     fprintf fmt ", engine wall %.3fs (instruction spans cover %.3fs)" w
       p.span_total_s
   | None -> fprintf fmt ", instruction spans total %.3fs" p.span_total_s);
-  fprintf fmt "@,@,%-22s %-12s %-26s %-8s %-8s %4s %10s %6s" "design" "port"
+  (* backend holds a ladder rung, e.g. "incremental+abstract" *)
+  fprintf fmt "@,@,%-22s %-12s %-26s %-20s %-8s %4s %10s %6s" "design" "port"
     "instruction" "backend" "verdict" "n" "time_s" "%";
   let total = Float.max 1e-12 p.span_total_s in
   List.iter
     (fun r ->
-      fprintf fmt "@,%-22s %-12s %-26s %-8s %-8s %4d %10.4f %6.1f" r.design
+      fprintf fmt "@,%-22s %-12s %-26s %-20s %-8s %4d %10.4f %6.1f" r.design
         r.port r.instr r.backend r.verdict r.n r.time_s
         (100.0 *. r.time_s /. total))
     p.rows;
@@ -284,7 +285,7 @@ let pp fmt p =
     fprintf fmt "@,@,per backend:";
     List.iter
       (fun (backend, (n, time_s)) ->
-        fprintf fmt "@,  %-10s %4d jobs %10.4fs" backend n time_s)
+        fprintf fmt "@,  %-20s %4d jobs %10.4fs" backend n time_s)
       backends);
   (match p.frames with
   | [] -> ()

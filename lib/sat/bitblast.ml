@@ -212,24 +212,15 @@ let decode_bits t name sort =
         Value.V_mem (snd value)
     end
 
-let check ?limit t =
-  match Sat.solve_bounded ?limit t.ctx.solver with
+let answer_of t = function
   | Sat.Result Sat.Unsat -> Unsat
   | Sat.Result Sat.Sat -> Sat (fun name sort -> decode_bits t name sort)
   | Sat.Unknown reason -> Unknown reason
 
-let check_under ?limit t ~hypotheses =
-  let assumptions = List.map (lit_of t) hypotheses in
-  match Sat.solve_bounded ~assumptions ?limit t.ctx.solver with
-  | Sat.Result Sat.Unsat -> Unsat
-  | Sat.Result Sat.Sat -> Sat (fun name sort -> decode_bits t name sort)
-  | Sat.Unknown reason -> Unknown reason
+let check ?limit t = answer_of t (Sat.solve_bounded ?limit t.ctx.solver)
 
 let check_assuming ?limit t ~assumptions =
-  match Sat.solve_bounded ~assumptions ?limit t.ctx.solver with
-  | Sat.Result Sat.Unsat -> Unsat
-  | Sat.Result Sat.Sat -> Sat (fun name sort -> decode_bits t name sort)
-  | Sat.Unknown reason -> Unknown reason
+  answer_of t (Sat.solve_bounded ~assumptions ?limit t.ctx.solver)
 
 let age_activity t = Sat.age_activity t.ctx.solver
 let simplify ?subsume t = Sat.simplify ?subsume t.ctx.solver

@@ -137,15 +137,7 @@ let verify_core t ~design_name ~variant ~rtl ~refmap_for ~ports ~instrs
     (fun (port : Ila.t) ->
       (* the deadline is per obligation group, here per port — same
          contract as [Verify.run] *)
-      let budget =
-        match timeout_s with
-        | None -> None
-        | Some s ->
-          Some
-            (Checker.with_deadline
-               (Unix.gettimeofday () +. s)
-               Checker.unlimited)
-      in
+      let budget = Checker.with_timeout timeout_s None in
       let fr =
         get_frame t ~design:design_name ~variant ~port ~rtl
           ~refmap:(refmap_for port.Ila.name)

@@ -79,23 +79,41 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Runs [f] with a trace sink and returns the parsed trace lines with
+   [f]'s result. *)
+let record f =
+  let file = Filename.temp_file "ilv-obs-test" ".jsonl" in
+  Obs.configure ~trace_out:file ();
+  let r = f () in
+  Obs.shutdown ();
+  let raw = read_file file in
+  Sys.remove file;
+  match Json.parse_lines raw with
+  | Error msg -> Alcotest.fail ("trace is not valid JSONL: " ^ msg)
+  | Ok lines -> (lines, r)
+
 let recorded =
   lazy
-    (let file = Filename.temp_file "ilv-obs-test" ".jsonl" in
-     Obs.configure ~trace_out:file ();
-     let d = List.find (fun d -> d.Design.name = "Decoder") Catalog.all in
+    (let d = List.find (fun d -> d.Design.name = "Decoder") Catalog.all in
      let job_list =
        Engine.jobs_of ~name:d.Design.name d.Design.module_ila d.Design.rtl
          ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
          ()
      in
-     let results, summary = Engine.run ~jobs:1 job_list in
-     Obs.shutdown ();
-     let raw = read_file file in
-     Sys.remove file;
-     match Json.parse_lines raw with
-     | Error msg -> Alcotest.fail ("trace is not valid JSONL: " ^ msg)
-     | Ok lines -> (lines, results, summary))
+     let lines, (results, summary) =
+       record (fun () -> Engine.run ~jobs:1 job_list)
+     in
+     (lines, results, summary))
+
+(* The same pipeline without the engine: an in-process [Verify.run],
+   whose verify.instr spans are what the profile reads. *)
+let recorded_verify =
+  lazy
+    (let d = List.find (fun d -> d.Design.name = "AXI Slave") Catalog.all in
+     record (fun () ->
+         Ilv_core.Verify.run ~stop_at_first_failure:false ~name:d.Design.name
+           d.Design.module_ila d.Design.rtl
+           ~refmap_for:(d.Design.refmap_for d.Design.rtl)))
 
 let str key j = Option.bind (Json.member key j) Json.to_string
 let int_of key j = Option.bind (Json.member key j) Json.to_int
@@ -156,6 +174,16 @@ let trace_tests =
           "one begin per job" (List.length results) (List.length begins);
         Alcotest.(check int)
           "one end per job" (List.length results) (List.length ends);
+        let verify_ends =
+          let lines, _ = Lazy.force recorded_verify in
+          List.filter
+            (fun l ->
+              str "ev" l = Some "span_end"
+              && str "name" l = Some "verify.instr")
+            lines
+        in
+        Alcotest.(check bool)
+          "verify.instr spans ended" true (verify_ends <> []);
         List.iter
           (fun l ->
             Alcotest.(check bool)
@@ -168,7 +196,7 @@ let trace_tests =
             Alcotest.(check bool)
               "end has backend/verdict" true
               (str "backend" l <> None && str "verdict" l <> None))
-          ends);
+          (ends @ verify_ends));
     t "spans nest well-formed (begun once, ended once, parent open)"
       (fun () ->
         let lines, _, _ = Lazy.force recorded in
@@ -369,6 +397,26 @@ let profile_tests =
           && List.for_all
                (fun (r : Profile.row) -> r.Profile.design = "Clock Gen")
                p.Profile.rows));
+    t "in-process Verify.run rows name ladder rungs, never sat" (fun () ->
+        let lines, report = Lazy.force recorded_verify in
+        let p = Profile.of_trace lines in
+        let n_instrs =
+          List.fold_left
+            (fun n port -> n + List.length port.Ilv_core.Verify.instr_results)
+            0 report.Ilv_core.Verify.ports
+        in
+        Alcotest.(check int)
+          "one row per instruction" n_instrs
+          (List.length p.Profile.rows);
+        List.iter
+          (fun (r : Profile.row) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s backend %S is a rung" r.Profile.instr
+                 r.Profile.backend)
+              true
+              (r.Profile.backend <> "sat"
+              && String.starts_with ~prefix:"incremental" r.Profile.backend))
+          p.Profile.rows);
   ]
 
 let suite =
